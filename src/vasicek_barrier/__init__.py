@@ -1,9 +1,11 @@
 """Knock-out barrier option pricing under Vasicek stochastic interest rates.
 
-The package prices up-and-out and corridor (double knock-out) calls by
-integrating absorbing-boundary transition kernels of the log forward price
-against the call payoff, and ships two independent Monte Carlo oracles plus a
-constant-rate closed form to verify every number it produces.
+The package prices up-and-out and corridor (double knock-out) calls in closed
+form: the integral of an absorbing-boundary transition kernel of the log
+forward price against the call payoff is the reflection formula for one wall
+and an integrated sine series for a corridor.  Kernel quadrature, two
+independent Monte Carlo oracles and a constant-rate closed form verify every
+number it produces.
 """
 
 from .kernels import (SeriesTruncation, SeriesTruncationError, barrier_kernel,
@@ -13,11 +15,12 @@ from .mc_oracle import (MCConfig, MCEstimate, bond_mc, price_barrier_mc,
                         price_barrier_mc_two_factor)
 from .model import (BondContext, VasicekParams, b_factor, bond_context,
                     bond_price, bond_price_from_ode, effective_vol_sq,
-                    integrated_variance)
+                    integrated_variance, log_bond_price)
 from .pricer import (MarketState, OptionSpec, PriceCurve, PriceResult,
-                     log_forward, price_curve, price_double_barrier,
-                     price_single_barrier, up_and_out_call_constant_rate,
-                     vanilla_call_forward)
+                     corridor_call_forward, log_forward, price_curve,
+                     price_double_barrier, price_single_barrier,
+                     up_and_out_call_constant_rate, vanilla_call_forward)
+from .quad_oracle import price_by_quadrature
 from .quadrature import QuadratureError, QuadratureSpec, integrate
 
 __version__ = "0.1.0"
@@ -41,15 +44,18 @@ __all__ = [
     "bond_mc",
     "bond_price",
     "bond_price_from_ode",
+    "corridor_call_forward",
     "double_barrier_kernel",
     "effective_vol_sq",
     "eigenfunction",
     "free_kernel",
     "integrate",
     "integrated_variance",
+    "log_bond_price",
     "log_forward",
     "price_barrier_mc",
     "price_barrier_mc_two_factor",
+    "price_by_quadrature",
     "price_curve",
     "price_double_barrier",
     "price_single_barrier",

@@ -6,7 +6,8 @@ with --config, and command-line flags.  Outputs (CSV or SVG) are
 byte-identical for identical resolved configurations.
 
 Exit codes: 0 success, 1 configuration error, 2 price requested for a
-knocked-out spot, 3 verification failure.
+knocked-out spot, 3 verification failure, 4 a curve row failed to price
+(each failed row is reported on stderr).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels, mc_oracle, model, pricer, quadrature
+from . import kernels, mc_oracle, model, pricer, quad_oracle, quadrature
 
 DEFAULTS = {
     "spot": 110.0,
@@ -47,6 +48,9 @@ _FLOAT_KEYS = ("spot", "strike", "maturity", "barrier", "barrier_low",
 _INT_KEYS = ("paths", "steps", "seed")
 
 _SWEEPABLE = ("a", "theta", "rho")
+
+# spots at which verify compares a pricer with a closed form or with quadrature
+_VERIFY_SPOTS = (80.0, 90.0, 100.0, 110.0, 120.0, 125.0)
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
@@ -189,6 +193,8 @@ def _parse_sweep(text: str | None) -> tuple[str | None, tuple]:
         raise ConfigError(f"sweep: bad value list {rest!r}") from exc
     if not values:
         raise ConfigError("sweep: value list is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"sweep: values must be finite numbers, got {rest!r}")
     return name, values
 
 
@@ -219,6 +225,9 @@ def _resolve(args: argparse.Namespace) -> JobConfig:
         values["format"] = args.fmt
     values = {k: _coerce(k, v) for k, v in values.items()}
 
+    for key in _FLOAT_KEYS:
+        if values[key] is not None and not math.isfinite(values[key]):
+            raise ConfigError(f"{key}: must be a finite number, got {values[key]}")
     for key in ("spot", "strike", "maturity"):
         if values[key] is None or values[key] <= 0:
             raise ConfigError(f"{key}: must be a positive number, got {values[key]}")
@@ -279,7 +288,11 @@ def run_price(cfg: JobConfig) -> int:
     return 2 if result.knocked_out else 0
 
 
-def _curve_columns(cfg: JobConfig) -> tuple[list, np.ndarray, list]:
+def _curve_columns(cfg: JobConfig) -> tuple[list, np.ndarray, list, list]:
+    """Labels, spots, one price column per sweep value, and the failed rows.
+
+    Each failed row is a (label, spot, error message) triple.
+    """
     spots = np.linspace(cfg.grid[0], cfg.grid[1], cfg.grid[2])
     if cfg.sweep_name is None:
         labels = ["price"]
@@ -287,8 +300,10 @@ def _curve_columns(cfg: JobConfig) -> tuple[list, np.ndarray, list]:
     else:
         labels = [f"{cfg.sweep_name}={v:g}" for v in cfg.sweep_values]
         variants = [replace(cfg.params, **{cfg.sweep_name: v}) for v in cfg.sweep_values]
-    columns = [pricer.price_curve(spots, cfg.option, p).prices for p in variants]
-    return labels, spots, columns
+    curves = [pricer.price_curve(spots, cfg.option, p) for p in variants]
+    failed = [(label, s, err) for label, curve in zip(labels, curves)
+              for s, err in zip(spots, curve.errors) if err is not None]
+    return labels, spots, [curve.prices for curve in curves], failed
 
 
 def _render_csv(labels, spots, columns) -> str:
@@ -360,13 +375,19 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def run_curve(cfg: JobConfig) -> int:
-    """Write the price curve as CSV (or an SVG line chart)."""
-    labels, spots, columns = _curve_columns(cfg)
+    """Write the price curve as CSV (or an SVG line chart).
+
+    Failed rows are written as NaN and reported on stderr; the exit code is
+    then 4.
+    """
+    labels, spots, columns, failed = _curve_columns(cfg)
     if cfg.format == "svg":
         _write_out(_render_svg(labels, spots, columns), cfg.out)
     else:
         _write_out(_render_csv(labels, spots, columns), cfg.out)
-    return 0
+    for label, spot, err in failed:
+        print(f"error: {label} at spot {_fmt(spot)}: {err}", file=sys.stderr)
+    return 4 if failed else 0
 
 
 def _mc_check(analytic: float, est: mc_oracle.MCEstimate,
@@ -428,7 +449,7 @@ def _verify_checks(cfg: JobConfig):
     const = model.VasicekParams(a=p.a, theta=p.r0, sigma1=p.sigma1, sigma2=0.0,
                                 rho=p.rho, r0=p.r0)
     disc = math.exp(-p.r0 * tau)
-    for s in (80.0, 90.0, 100.0, 110.0, 120.0, 125.0):
+    for s in _VERIFY_SPOTS:
         ours = pricer.price_single_barrier(
             pricer.MarketState(spot=s, rate=p.r0, time=0.0), single, const).price
         closed = pricer.up_and_out_call_constant_rate(
@@ -438,6 +459,17 @@ def _verify_checks(cfg: JobConfig):
         worst = max(worst, abs(ours - closed) / denom)
     yield ("constant-rate closed-form reduction", worst <= 1e-6,
            f"max rel={worst:.2e} over 6 spots")
+
+    worst = 0.0
+    for s in _VERIFY_SPOTS:
+        spot_state = pricer.MarketState(spot=s, rate=p.r0, time=0.0)
+        for option, closed_form in ((single, pricer.price_single_barrier),
+                                    (double, pricer.price_double_barrier)):
+            ours = closed_form(spot_state, option, p).price
+            quad = quad_oracle.price_by_quadrature(spot_state, option, p).price
+            worst = max(worst, abs(ours - quad) / max(abs(quad), 1e-12))
+    yield ("closed form vs kernel quadrature", worst <= 1e-9,
+           f"max rel={worst:.2e} over 6 spots, both barrier kinds")
 
     # kernel composition: the second factor is evaluated with its arguments
     # swapped via the prefactor symmetry k(z, y) = e^{z-y} k(y, z), which

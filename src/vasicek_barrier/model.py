@@ -13,6 +13,7 @@ All functions are pure; scalar arguments broadcast against numpy arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,16 @@ import numpy as np
 SMALL_A = 1e-6
 
 
+def _require_finite(**fields) -> None:
+    """Raise ValueError naming the first field that is NaN or infinite."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class VasicekParams:
-    """Model parameters plus the initial short rate.
+    """Model parameters plus the initial short rate, all six finite.
 
     Attributes
     ----------
@@ -52,6 +60,8 @@ class VasicekParams:
     r0: float
 
     def __post_init__(self):
+        _require_finite(a=self.a, theta=self.theta, sigma1=self.sigma1,
+                        sigma2=self.sigma2, rho=self.rho, r0=self.r0)
         if self.sigma1 < 0:
             raise ValueError(f"sigma1 must be non-negative, got {self.sigma1}")
         if self.sigma2 < 0:
@@ -120,6 +130,19 @@ def _log_a_factor(t, tau: float, a: float, theta: float, sigma2: float,
     return (B - u) * (a * a * theta - s2 / 2.0) / (a * a) - s2 * B * B / (4.0 * a)
 
 
+def log_bond_price(r, t, tau: float, p: VasicekParams, variant: str = "standard"):
+    """Log of the zero-coupon bond price, log A(t) - r * B(t).
+
+    Parameters are those of `bond_price`.  For a negative mean-reversion
+    speed over a long horizon the bond price itself overflows while its log
+    is still finite.
+    """
+    _check_order(t, tau)
+    log_a = _log_a_factor(t, tau, p.a, p.theta, p.sigma2, variant)
+    out = log_a - np.asarray(r, dtype=float) * b_factor(t, tau, p.a)
+    return out if np.ndim(out) else float(out)
+
+
 def bond_price(r, t, tau: float, p: VasicekParams, variant: str = "standard"):
     """Zero-coupon bond price P(r, t; tau) = A(t) * exp(-r * B(t)).
 
@@ -136,9 +159,7 @@ def bond_price(r, t, tau: float, p: VasicekParams, variant: str = "standard"):
     variant : str
         A-factor variant, see `_log_a_factor`.  Leave at "standard".
     """
-    _check_order(t, tau)
-    log_a = _log_a_factor(t, tau, p.a, p.theta, p.sigma2, variant)
-    out = np.exp(log_a - np.asarray(r, dtype=float) * b_factor(t, tau, p.a))
+    out = np.exp(log_bond_price(r, t, tau, p, variant))
     return out if out.ndim else float(out)
 
 

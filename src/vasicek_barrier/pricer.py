@@ -1,12 +1,27 @@
-"""Option valuation: kernel times payoff, integrated, re-discounted.
+"""Option valuation in closed form on the log forward price.
 
 The valuation recipe for a knock-out call struck at K:
 
 1. map spot to the log forward x = ln(S / P(r, t; tau)),
 2. accumulate the forward variance v = integrated_variance(t, tau),
-3. integrate kernel(x, x', v) * (e^{x'} - K) over the payoff region inside
-   the barriers,
+3. value the knock-out call on the driftless forward, in forward units,
 4. multiply by the bond price P to return from forward to cash units.
+
+Step 3 is the integral of an absorbing transition kernel against the payoff
+(e^{x'} - K), and for both products that integral is elementary:
+
+* up-and-out: the image kernel integrates to the reflection formula on a
+  zero-carry forward with sigma*sqrt(T) replaced by sqrt(v), that is
+  `up_and_out_call_constant_rate(e^x, K, e^B, rate=0, sigma=sqrt(v),
+  maturity=1)`;
+* corridor: each sine mode of the eigenmode kernel integrates against
+  e^{x'/2} and e^{-x'/2} in closed form, so the price is a finite sum over
+  the modes that `series_terms` keeps (`corridor_call_forward`).
+
+This is the production path.  The kernels of `kernels.py` and the adaptive
+quadrature of `quadrature.py` do not run on it: `quad_oracle` integrates
+the kernels numerically, and `verify` and the tests hold the closed forms
+to that independent result.
 
 Barriers are levels on the forward price, which is where the knock-out
 condition of the underlying derivation lives; a spot is knocked out at
@@ -17,20 +32,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.stats import norm
 
-from .kernels import SeriesTruncation, barrier_kernel, double_barrier_kernel
-from .model import VasicekParams, bond_price, integrated_variance
-from .quadrature import QuadratureSpec, integrate
+from .kernels import SeriesTruncation, SeriesTruncationError, series_terms
+from .model import (VasicekParams, _require_finite, bond_price,
+                    integrated_variance)
 
 SINGLE_UP = "single_up"
 DOUBLE = "double"
 
-# The image/eigenmode kernels carry no mass beyond this many standard
-# deviations; integration domains are clipped accordingly.
-_TAIL_SDS = 12.0
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -39,6 +52,7 @@ class OptionSpec:
 
     ``log_barriers`` holds one level for an up-and-out option or the
     (lower, upper) pair for a corridor option, in log forward-price units.
+    Every number is finite.
     """
 
     strike: float
@@ -47,6 +61,8 @@ class OptionSpec:
     log_barriers: tuple[float, ...]
 
     def __post_init__(self):
+        _require_finite(strike=self.strike, maturity=self.maturity,
+                        **{f"log_barriers[{i}]": b for i, b in enumerate(self.log_barriers)})
         if self.strike <= 0:
             raise ValueError(f"strike must be positive, got {self.strike}")
         if self.maturity <= 0:
@@ -71,13 +87,14 @@ class OptionSpec:
 
 @dataclass(frozen=True)
 class MarketState:
-    """Spot, short rate and clock at valuation."""
+    """Spot, short rate and clock at valuation, all finite."""
 
     spot: float
     rate: float
     time: float = 0.0
 
     def __post_init__(self):
+        _require_finite(spot=self.spot, rate=self.rate, time=self.time)
         if self.spot <= 0:
             raise ValueError(f"spot must be positive, got {self.spot}")
 
@@ -101,9 +118,72 @@ class PriceCurve:
     option: OptionSpec
 
 
+class _Valuation:
+    """The spot-independent part of a valuation at one short rate and time.
+
+    Holds the bond price P and, each computed on first use, the forward
+    variance v and the corridor's mode count.  `price_curve` builds one per
+    curve, so a curve evaluates each of them once rather than once per spot.
+    """
+
+    def __init__(self, spec: OptionSpec, p: VasicekParams, rate: float, time: float,
+                 trunc: SeriesTruncation = SeriesTruncation()):
+        self.spec, self.p, self.time, self.trunc = spec, p, time, trunc
+        with np.errstate(over="ignore"):  # an overflow is reported by log_forward
+            self.disc = bond_price(rate, time, spec.maturity, p)
+
+    @cached_property
+    def v(self) -> float:
+        return integrated_variance(self.time, self.spec.maturity, self.spec.maturity, self.p)
+
+    @cached_property
+    def n_modes(self) -> int:
+        lower, upper = self.spec.log_barriers
+        return series_terms(self.v, lower, upper, self.trunc)
+
+    def log_forward(self, spot: float) -> float:
+        if not 0.0 < self.disc < math.inf:
+            raise ValueError(
+                f"bond price {self.disc!r} over maturity {self.spec.maturity!r} is not a "
+                f"positive finite number: the rate model with a={self.p.a!r} explodes "
+                f"over this horizon")
+        return math.log(spot / self.disc)
+
+    def price(self, spot: float) -> PriceResult:
+        spec = self.spec
+        x = self.log_forward(spot)
+        if spec.barrier_kind == SINGLE_UP:
+            lower, upper = -math.inf, spec.log_barriers[0]
+        else:
+            lower, upper = spec.log_barriers
+        if not lower < x < upper:
+            return PriceResult(0.0, knocked_out=True)
+        if max(math.log(spec.strike), lower) >= upper:
+            return PriceResult(0.0)
+        v = self.v
+        if v == 0.0:
+            return PriceResult(self.disc * max(math.exp(x) - spec.strike, 0.0))
+        if spec.barrier_kind == SINGLE_UP:
+            value = up_and_out_call_constant_rate(math.exp(x), spec.strike, math.exp(upper),
+                                                  rate=0.0, sigma=math.sqrt(v), maturity=1.0)
+        else:
+            value = corridor_call_forward(x, spec.strike, v, lower, upper, self.n_modes)
+        return PriceResult(self.disc * value)
+
+
 def log_forward(state: MarketState, spec: OptionSpec, p: VasicekParams) -> float:
-    """Log forward price x = ln(S / P(r, t; tau))."""
-    return math.log(state.spot / bond_price(state.rate, state.time, spec.maturity, p))
+    """Log forward price x = ln(S / P(r, t; tau)).
+
+    Raises ValueError, naming ``a`` and the maturity, when the bond price
+    is not a positive finite number (an explosive model, ``a < 0`` over a
+    long horizon).
+    """
+    return _Valuation(spec, p, state.rate, state.time).log_forward(state.spot)
+
+
+def _norm_cdf(z: float) -> float:
+    """Standard normal distribution function, accurate in both tails."""
+    return 0.5 * math.erfc(-z * _SQRT_HALF)
 
 
 def vanilla_call_forward(x: float, strike: float, v: float) -> float:
@@ -121,96 +201,111 @@ def vanilla_call_forward(x: float, strike: float, v: float) -> float:
         return max(math.exp(x) - strike, 0.0)
     rv = math.sqrt(v)
     d1 = (x - math.log(strike) + 0.5 * v) / rv
-    return math.exp(x) * norm.cdf(d1) - strike * norm.cdf(d1 - rv)
+    return math.exp(x) * _norm_cdf(d1) - strike * _norm_cdf(d1 - rv)
 
 
-def price_single_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams,
-                         quad: QuadratureSpec = QuadratureSpec()) -> PriceResult:
+def corridor_call_forward(x: float, strike: float, v: float, lower: float, upper: float,
+                          n_modes: int) -> float:
+    """Forward-units value of a call knocked out at either wall of a corridor.
+
+    The eigenmode kernel of `double_barrier_kernel` integrated against the
+    payoff, mode by mode and in closed form:
+
+        (2/L) e^{x/2 - v/8} sum_n e^{-p_n^2 v/2} sin(p_n (x - l)) [G(1/2) - K G(-1/2)]
+
+    with L = u - l, p_n = n pi / L and
+
+        G(alpha) = int_lo^u e^{alpha y} sin(p_n (y - l)) dy
+                 = [e^{alpha y} (alpha sin(p_n (y - l)) - p_n cos(p_n (y - l)))
+                    / (alpha^2 + p_n^2)] from lo = max(ln K, l) to u,
+
+    where at y = u the sine is 0 and the cosine (-1)^n.  ``n_modes`` is the
+    mode count of `series_terms`; the caller has checked l < x < u.
+    """
+    width = upper - lower
+    n = np.arange(1, n_modes + 1)
+    pn = np.pi * n / width
+    lo = max(math.log(strike), lower)
+    sin_lo = np.sin(pn * (lo - lower))
+    cos_lo = np.cos(pn * (lo - lower))
+    cos_up = np.where(n % 2 == 1, -1.0, 1.0)
+
+    def g(alpha):
+        at_up = -math.exp(alpha * upper) * pn * cos_up
+        at_lo = math.exp(alpha * lo) * (alpha * sin_lo - pn * cos_lo)
+        return (at_up - at_lo) / (alpha * alpha + pn * pn)
+
+    modes = np.exp(-0.5 * v * pn * pn) * np.sin(pn * (x - lower))
+    series = float(modes @ (g(0.5) - strike * g(-0.5)))
+    return 2.0 / width * math.exp(0.5 * x - v / 8.0) * series
+
+
+def price_single_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams, *,
+                         terms: _Valuation | None = None) -> PriceResult:
     """Value an up-and-out call under stochastic rates.
 
-    Returns P(r, t; tau) * int_{ln K}^{B} barrier_kernel(x, x', v, B)
-    * (e^{x'} - K) dx' with v the forward variance accumulated over
-    [t, tau].  The lower integration limit is raised to the point below
-    which the kernel carries no mass (x - v/2 - 12*sqrt(v)), which changes
-    the value by less than exp(-72).
+    Returns P(r, t; tau) times the reflection formula for an up-and-out
+    call on the zero-carry forward e^x with barrier e^B and total variance
+    v accumulated over [t, tau]: `up_and_out_call_constant_rate(e^x, K,
+    e^B, rate=0, sigma=sqrt(v), maturity=1)`.  That is the integral of
+    `barrier_kernel(x, x', v, B) * (e^{x'} - K)` over ln K < x' < B, which
+    `quad_oracle.price_by_quadrature` evaluates numerically.
 
     A spot whose log forward is at or beyond the barrier prices to zero and
     is flagged as knocked out; a strike at or above the barrier leaves no
-    payoff region and also prices to zero.
+    payoff region and also prices to zero.  ``terms``, the spot-independent
+    part at the state's rate and time, is passed by `price_curve`; other
+    callers leave it unset.
     """
     if spec.barrier_kind != SINGLE_UP:
         raise ValueError(f"expected a single_up option, got {spec.barrier_kind!r}")
-    upper = spec.log_barriers[0]
-    x = log_forward(state, spec, p)
-    if x >= upper:
-        return PriceResult(0.0, knocked_out=True)
-    disc = bond_price(state.rate, state.time, spec.maturity, p)
-    log_k = math.log(spec.strike)
-    if log_k >= upper:
-        return PriceResult(0.0)
-    v = integrated_variance(state.time, spec.maturity, spec.maturity, p)
-    if v == 0.0:
-        return PriceResult(disc * max(math.exp(x) - spec.strike, 0.0))
-    lo = max(log_k, x - 0.5 * v - _TAIL_SDS * math.sqrt(v))
-    val, _ = integrate(
-        lambda xp: barrier_kernel(x, xp, v, upper) * (np.exp(xp) - spec.strike),
-        lo, upper, quad)
-    return PriceResult(disc * val)
+    if terms is None:
+        terms = _Valuation(spec, p, state.rate, state.time)
+    return terms.price(state.spot)
 
 
 def price_double_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams,
-                         quad: QuadratureSpec = QuadratureSpec(),
-                         trunc: SeriesTruncation = SeriesTruncation()) -> PriceResult:
+                         trunc: SeriesTruncation = SeriesTruncation(), *,
+                         terms: _Valuation | None = None) -> PriceResult:
     """Value a knock-out call inside an absorbing corridor.
 
-    Returns P * int_{max(ln K, lower)}^{upper} double_barrier_kernel(x, x', v)
-    * (e^{x'} - K) dx'; the kernel vanishes below the lower wall so clamping
-    the lower limit there is exact.
+    Returns P times `corridor_call_forward`: the integral of
+    `double_barrier_kernel(x, x', v, lower, upper)` against (e^{x'} - K)
+    over max(ln K, lower) < x' < upper, summed in closed form over the
+    modes that `series_terms` keeps under ``trunc``.  ``terms`` is as for
+    `price_single_barrier`, and carries its own truncation.
     """
     if spec.barrier_kind != DOUBLE:
         raise ValueError(f"expected a double option, got {spec.barrier_kind!r}")
-    lower, upper = spec.log_barriers
-    x = log_forward(state, spec, p)
-    if not lower < x < upper:
-        return PriceResult(0.0, knocked_out=True)
-    disc = bond_price(state.rate, state.time, spec.maturity, p)
-    lo = max(math.log(spec.strike), lower)
-    if lo >= upper:
-        return PriceResult(0.0)
-    v = integrated_variance(state.time, spec.maturity, spec.maturity, p)
-    if v == 0.0:
-        return PriceResult(disc * max(math.exp(x) - spec.strike, 0.0))
-    val, _ = integrate(
-        lambda xp: double_barrier_kernel(x, xp, v, lower, upper, trunc)
-        * (np.exp(xp) - spec.strike),
-        lo, upper, quad)
-    return PriceResult(disc * val)
+    if terms is None:
+        terms = _Valuation(spec, p, state.rate, state.time, trunc)
+    return terms.price(state.spot)
 
 
 def price_curve(spots, spec: OptionSpec, p: VasicekParams,
-                quad: QuadratureSpec = QuadratureSpec(),
                 trunc: SeriesTruncation = SeriesTruncation()) -> PriceCurve:
     """Price the option over a strictly increasing spot grid at t=0, r=r0.
 
-    Knocked-out spots price to zero.  A failure at one grid point (for
-    example a quadrature budget overrun) is recorded in ``errors`` for that
-    row, with the price set to NaN, and does not abort the rest of the curve.
+    The bond price, the variance and the corridor's mode count do not
+    depend on spot and are computed once for the curve.  Knocked-out spots
+    price to zero.  A row that fails with a ValueError (a bad spot, an
+    explosive model) or a `SeriesTruncationError` is recorded in ``errors``
+    for that row, with the price set to NaN, and does not abort the rest of
+    the curve; any other exception propagates.
     """
     spots = np.asarray(spots, dtype=float)
     if spots.size == 0:
         raise ValueError("spot grid must be non-empty")
     if np.any(np.diff(spots) <= 0):
         raise ValueError("spot grid must be strictly increasing")
+    terms = _Valuation(spec, p, p.r0, 0.0, trunc)
+    price = price_single_barrier if spec.barrier_kind == SINGLE_UP else price_double_barrier
     prices = np.empty_like(spots)
     errors: list = [None] * spots.size
     for i, s in enumerate(spots):
-        state = MarketState(spot=float(s), rate=p.r0, time=0.0)
         try:
-            if spec.barrier_kind == SINGLE_UP:
-                prices[i] = price_single_barrier(state, spec, p, quad).price
-            else:
-                prices[i] = price_double_barrier(state, spec, p, quad, trunc).price
-        except Exception as exc:  # per-row capture, curve continues
+            prices[i] = price(MarketState(spot=float(s), rate=p.r0), spec, p, terms=terms).price
+        except (ValueError, SeriesTruncationError) as exc:  # per-row capture
             prices[i] = np.nan
             errors[i] = f"{type(exc).__name__}: {exc}"
     return PriceCurve(spots=spots, prices=prices, errors=tuple(errors),
@@ -258,10 +353,10 @@ def up_and_out_call_constant_rate(spot: float, strike: float, barrier: float,
     df = math.exp(-rate * maturity)
     gf = math.exp((b - rate) * maturity)
     hs = barrier / spot
-    term_a = spot * gf * norm.cdf(x1) - strike * df * norm.cdf(x1 - srt)
-    term_b = spot * gf * norm.cdf(x2) - strike * df * norm.cdf(x2 - srt)
-    term_c = spot * gf * hs ** (2.0 * (mu + 1.0)) * norm.cdf(-y1) \
-        - strike * df * hs ** (2.0 * mu) * norm.cdf(-y1 + srt)
-    term_d = spot * gf * hs ** (2.0 * (mu + 1.0)) * norm.cdf(-y2) \
-        - strike * df * hs ** (2.0 * mu) * norm.cdf(-y2 + srt)
+    term_a = spot * gf * _norm_cdf(x1) - strike * df * _norm_cdf(x1 - srt)
+    term_b = spot * gf * _norm_cdf(x2) - strike * df * _norm_cdf(x2 - srt)
+    term_c = spot * gf * hs ** (2.0 * (mu + 1.0)) * _norm_cdf(-y1) \
+        - strike * df * hs ** (2.0 * mu) * _norm_cdf(-y1 + srt)
+    term_d = spot * gf * hs ** (2.0 * (mu + 1.0)) * _norm_cdf(-y2) \
+        - strike * df * hs ** (2.0 * mu) * _norm_cdf(-y2 + srt)
     return max(term_a - term_b + term_c - term_d, 0.0)

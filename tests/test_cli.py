@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vasicek_barrier import pricer
 from vasicek_barrier.cli import main
 
 SMOKE = ["--paths", "2000", "--steps", "64", "--seed", "5"]
@@ -79,6 +80,13 @@ class TestConfigFile:
         code, _, err = run(capsys, "price", "--config", str(cfg))
         assert code == 1
         assert "maturity" in err
+
+    def test_non_finite_value_named(self, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("theta=inf\n")
+        code, _, err = run(capsys, "price", "--config", str(cfg))
+        assert code == 1
+        assert "theta" in err and "finite" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "price", "--config", "/nonexistent/path.cfg")
@@ -169,6 +177,24 @@ class TestCurveCommand:
         assert code == 1 and "sweep" in err
         code, _, err = run(capsys, "curve", "--sweep", "a=")
         assert code == 1 and "sweep" in err
+        code, _, err = run(capsys, "curve", "--sweep", "a=1,nan")
+        assert code == 1 and "sweep" in err
+
+    def test_non_finite_flag_named(self, capsys):
+        code, out, err = run(capsys, "curve", "--sigma1", "nan")
+        assert code == 1
+        assert "sigma1" in err and out == ""
+
+    def test_failed_rows_reported_with_exit_4(self, capsys):
+        # a < 0 over 30 years: the bond price overflows at every spot
+        code, out, err = run(capsys, "curve", "--a=-2", "--maturity", "30",
+                             "--grid", "100:110:2")
+        assert code == 4
+        assert out.splitlines()[1:] == ["100.0,nan", "110.0,nan"]
+        reported = err.strip().splitlines()
+        assert len(reported) == 2
+        assert all("a=-2.0" in line and "maturity 30.0" in line for line in reported)
+        assert "spot 100.0" in reported[0] and "spot 110.0" in reported[1]
 
 
 class TestVerifyCommand:
@@ -178,7 +204,7 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert lines[-1] == "all checks passed"
         assert all(line.startswith("PASS") for line in lines[:-1])
-        assert len(lines) == 9
+        assert len(lines) == 10
 
     def test_tampered_bond_factor_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--paths", "20000", "--steps", "64",
@@ -188,6 +214,18 @@ class TestVerifyCommand:
         assert any(line.startswith("FAIL") and "bond vs monte carlo" in line
                    for line in lines)
         assert any(line.startswith("FAIL") and "ode" in line for line in lines)
+
+
+    @pytest.mark.parametrize("closed_form", ["up_and_out_call_constant_rate",
+                                             "corridor_call_forward"])
+    def test_perturbed_closed_form_fails(self, closed_form, monkeypatch, capsys):
+        exact = getattr(pricer, closed_form)
+        monkeypatch.setattr(pricer, closed_form,
+                            lambda *a, **k: exact(*a, **k) * (1.0 + 1e-6))
+        code, out, _ = run(capsys, "verify", "--paths", "1000", "--steps", "64")
+        assert code == 3
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and "closed form vs kernel quadrature" in failed[0]
 
 
 def test_unknown_command_is_config_error(capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.integrate import quad
 
 from vasicek_barrier import (VasicekParams, b_factor, bond_context, bond_price,
                              bond_price_from_ode, effective_vol_sq,
-                             integrated_variance)
+                             integrated_variance, log_bond_price)
 
 REF = VasicekParams(a=1.0, theta=0.04, sigma1=0.3, sigma2=0.3, rho=0.5, r0=0.05)
 
@@ -57,6 +58,17 @@ class TestBFactor:
 
 
 class TestBondPrice:
+    def test_exp_of_log_form(self):
+        t = np.array([0.0, 0.3, 0.9])
+        np.testing.assert_array_equal(bond_price(0.05, t, 1.0, REF),
+                                      np.exp(log_bond_price(0.05, t, 1.0, REF)))
+        assert log_bond_price(0.05, 1.0, 1.0, REF) == 0.0
+
+    def test_log_form_finite_where_price_overflows(self):
+        explosive = replace(REF, a=-2.0)
+        log_p = log_bond_price(0.05, 0.0, 30.0, explosive)
+        assert math.isfinite(log_p) and log_p > math.log(np.finfo(float).max)
+
     def test_unity_at_maturity(self):
         for r in (-0.02, 0.0, 0.05, 0.2):
             assert bond_price(r, 1.0, 1.0, REF) == 1.0

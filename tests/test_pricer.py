@@ -1,11 +1,13 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from vasicek_barrier import (MarketState, OptionSpec, QuadratureSpec,
+from vasicek_barrier import (MarketState, OptionSpec, SeriesTruncation,
                              VasicekParams, bond_price, free_kernel,
                              integrated_variance, log_forward, price_curve,
                              price_double_barrier, price_single_barrier,
@@ -210,9 +212,9 @@ class TestPriceCurve:
             assert np.all(curve.prices >= 0.0)
 
     def test_per_row_error_capture(self):
-        starved = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_panels=8)
-        curve = price_curve(np.array([105.0, 110.0]), SINGLE, REF, quad=starved)
-        assert all(e is not None and "panels" in e for e in curve.errors)
+        starved = SeriesTruncation(max_terms=1)
+        curve = price_curve(np.array([105.0, 110.0]), CORRIDOR, REF, trunc=starved)
+        assert all(e is not None and "SeriesTruncationError" in e for e in curve.errors)
         assert np.all(np.isnan(curve.prices))
 
     def test_grid_validation(self):
@@ -220,3 +222,49 @@ class TestPriceCurve:
             price_curve(np.array([100.0, 100.0]), SINGLE, REF)
         with pytest.raises(ValueError):
             price_curve(np.array([]), SINGLE, REF)
+
+
+_FINITE_FIELDS = {
+    "a": lambda bad: replace(REF, a=bad),
+    "theta": lambda bad: replace(REF, theta=bad),
+    "sigma1": lambda bad: replace(REF, sigma1=bad),
+    "sigma2": lambda bad: replace(REF, sigma2=bad),
+    "rho": lambda bad: replace(REF, rho=bad),
+    "r0": lambda bad: replace(REF, r0=bad),
+    "spot": lambda bad: MarketState(spot=bad, rate=0.05),
+    "rate": lambda bad: MarketState(spot=110.0, rate=bad),
+    "time": lambda bad: MarketState(spot=110.0, rate=0.05, time=bad),
+    "strike": lambda bad: OptionSpec.single_up(bad, 1.0, B_UP),
+    "maturity": lambda bad: OptionSpec.single_up(100.0, bad, B_UP),
+    "log_barriers[0]": lambda bad: OptionSpec.double(100.0, 1.0, bad, B_UP),
+    "log_barriers[1]": lambda bad: OptionSpec.double(100.0, 1.0, B_LOW, bad),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", sorted(_FINITE_FIELDS))
+def test_non_finite_input_rejected_by_name(field, bad):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be finite")):
+        _FINITE_FIELDS[field](bad)
+
+
+class TestExplosiveModel:
+    # with a < 0 the bond price overflows over a long horizon
+    EXPLOSIVE = replace(REF, a=-2.0)
+    STATE = MarketState(spot=110.0, rate=0.05)
+
+    @pytest.mark.parametrize("option, pricer", [
+        (OptionSpec.single_up(100.0, 30.0, B_UP), price_single_barrier),
+        (OptionSpec.double(100.0, 30.0, B_LOW, B_UP), price_double_barrier),
+    ], ids=["single", "double"])
+    def test_price_raises_naming_a_and_maturity(self, option, pricer):
+        with pytest.raises(ValueError, match=r"maturity 30\.0.*a=-2\.0"):
+            pricer(self.STATE, option, self.EXPLOSIVE)
+        with pytest.raises(ValueError, match=r"maturity 30\.0.*a=-2\.0"):
+            log_forward(self.STATE, option, self.EXPLOSIVE)
+
+    def test_curve_records_every_row(self):
+        curve = price_curve([100.0, 110.0], OptionSpec.single_up(100.0, 30.0, B_UP),
+                            self.EXPLOSIVE)
+        assert np.all(np.isnan(curve.prices))
+        assert all(e is not None and "a=-2.0" in e for e in curve.errors)
