@@ -11,6 +11,12 @@ Two independent estimators exist for every option price:
   correlated increments, explicit path discounting.  It exists to check the
   numeraire-change reasoning behind the first estimator.
 
+Both, and the bond estimator `bond_mc`, run on one block loop, `_simulate`.
+Each estimator supplies only its path builder: the forward, the (ln S, r)
+pair with its path discount, or the OU rate paths.  The loop owns the rest:
+the per-block streams, the buffers, the knock monitor (`_Walls.knock`), the
+payoff (`_payoff_stats`) and the reduction.
+
 Barrier monitoring is either ``discrete`` (grid points only) or
 ``bridge_corrected`` (additionally knocking out between grid points with the
 Brownian-bridge crossing probability; the two-sided corridor version uses the
@@ -37,7 +43,7 @@ import numpy as np
 
 from .model import VasicekParams, b_factor, bond_price, _log_a_factor, \
     integrated_variance
-from .pricer import DOUBLE, SINGLE_UP, MarketState, OptionSpec, log_forward
+from .pricer import SINGLE_UP, MarketState, OptionSpec, log_forward
 
 BRIDGE = "bridge_corrected"
 DISCRETE = "discrete"
@@ -109,6 +115,48 @@ def _reduce(sums: list, sqsums: list, n: int, n_steps: int, seed: int) -> MCEsti
                       n_steps=n_steps, seed=seed)
 
 
+class _Buffers:
+    """Block scratch arrays by name, each allocated once at full block size.
+
+    ``buf(name, m)`` returns the first m rows of a (rows, n_steps + extra)
+    array, so a partial final block reuses the same memory.
+    """
+
+    def __init__(self, rows: int, n_steps: int):
+        self._shape = (rows, n_steps)
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, m: int, extra: int = 0, dtype=float) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None:
+            rows, n = self._shape
+            a = self._arrays[name] = np.empty((rows, n + extra), dtype=dtype)
+        return a[:m]
+
+
+def _simulate(cfg: MCConfig, n: int, build, strike: float,
+              walls: "_Walls | None" = None) -> MCEstimate:
+    """Run every block through ``build``, the knock monitor and the payoff.
+
+    ``build(rng, buf, m)`` draws one block's normals from ``rng`` into
+    buffers taken from ``buf`` and returns (x, d, log_pay, scale): the
+    monitored log-forward paths (m, n+1) and their increments (None where
+    unused), the log of the payoff variable at maturity, and the per-path
+    or common discount factor.  Paths pay (e^log_pay - strike)^+ * scale
+    unless ``walls`` knocks them out; with no walls nothing is monitored.
+    """
+    buf = _Buffers(min(_BLOCK, cfg.n_paths), n)
+    sums, sqsums = [], []
+    for index, m in _blocks(cfg.n_paths):
+        rng = _block_rng(cfg.seed, index)
+        x, d, log_pay, scale = build(rng, buf, m)
+        knocked = None if walls is None else walls.knock(x, d, rng, buf, m)
+        s1, s2 = _payoff_stats(log_pay, strike, knocked, scale)
+        sums.append(s1)
+        sqsums.append(s2)
+    return _reduce(sums, sqsums, cfg.n_paths, n, cfg.seed)
+
+
 def _ou_step_coeffs(dt: float, p: VasicekParams) -> tuple[float, float]:
     """(decay, shock sd) of the exact OU transition over one step."""
     z = 2.0 * p.a * dt
@@ -134,34 +182,30 @@ def _ou_paths_into(r: np.ndarray, z: np.ndarray, work: np.ndarray, r0: float,
     np.add(work, p.theta + decay**j * (r0 - p.theta), out=r[:, 1:])
 
 
-def _trapezoid_discount(r: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-integral of r dt) per path, trapezoidal rule over the grid."""
+def _log_discount(r: np.ndarray, dt: float) -> np.ndarray:
+    """-integral of r dt per path, trapezoidal rule over the grid."""
     integral = r[:, 1:-1].sum(axis=1)
     integral += 0.5 * (r[:, 0] + r[:, -1])
     integral *= -dt
-    return np.exp(integral)
+    return integral
 
 
 def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimate:
     """Estimate the bond price E[exp(-int_0^tau r dt)] by simulation.
 
     Uses the exact OU transition per step and trapezoidal accumulation of
-    the rate integral.
+    the rate integral.  The bond is the block loop's payoff struck at zero
+    on the log discount, with no barrier.
     """
     n = math.ceil(tau * cfg.n_steps)
     dt = tau / n
-    z = np.empty((_BLOCK, n))
-    r = np.empty((_BLOCK, n + 1))
-    work = np.empty((_BLOCK, n))
-    sums, sqsums = [], []
-    for index, m in _blocks(cfg.n_paths):
-        rng = _block_rng(cfg.seed, index)
-        rng.standard_normal(out=z[:m])
-        _ou_paths_into(r[:m], z[:m], work[:m], r0, dt, p)
-        disc = _trapezoid_discount(r[:m], dt)
-        sums.append(disc.sum())
-        sqsums.append((disc * disc).sum())
-    return _reduce(sums, sqsums, cfg.n_paths, n, cfg.seed)
+
+    def build(rng, buf, m):
+        z, r, work = buf("z", m), buf("r", m, 1), buf("work", m)
+        rng.standard_normal(out=z)
+        _ou_paths_into(r, z, work, r0, dt, p)
+        return None, None, _log_discount(r, dt), 1.0
+    return _simulate(cfg, n, build, 0.0)
 
 
 def _single_bridge_knockout(x, upper, neg2_inv_v, rng, t, u, kb):
@@ -234,13 +278,74 @@ def _double_bridge_knockout(x, d, lower, upper, inv_v, rng, acc, t, t2, u, kb):
     return knocked | kb.any(axis=1)
 
 
+@dataclass(frozen=True)
+class _Walls:
+    """Knock-out walls on the log forward, and the one monitor that applies them.
+
+    ``lower`` is None for the up-and-out; ``inv_v`` holds the reciprocal
+    per-step forward variances of the grid.
+    """
+
+    lower: float | None
+    upper: float
+    inv_v: np.ndarray
+    bridge: bool
+
+    @property
+    def needs_increments(self) -> bool:
+        """Whether `knock` reads the step increments ``d``."""
+        return self.lower is not None and self.bridge
+
+    def knock(self, x, d, rng, buf, m):
+        """Mask of the m paths in x that the walls knock out."""
+        kb = buf("kb", m, dtype=bool)
+        if self.lower is None:
+            if self.bridge:
+                return _single_bridge_knockout(x, self.upper, -2.0 * self.inv_v, rng,
+                                               buf("t", m), buf("u", m), kb)
+            return np.greater_equal(x[:, 1:], self.upper, out=kb).any(axis=1)
+        if self.bridge:
+            return _double_bridge_knockout(x, d, self.lower, self.upper, self.inv_v, rng,
+                                           buf("acc", m), buf("t", m), buf("t2", m),
+                                           buf("u", m), kb)
+        knocked = np.less_equal(x[:, 1:], self.lower, out=kb).any(axis=1)
+        knocked |= np.greater_equal(x[:, 1:], self.upper, out=kb).any(axis=1)
+        return knocked
+
+
 def _payoff_stats(x_final, strike, knocked, scale):
     pay = np.exp(x_final)
     pay -= strike
     np.maximum(pay, 0.0, out=pay)
-    pay[knocked] = 0.0
+    if knocked is not None:
+        pay[knocked] = 0.0
     pay *= scale
     return pay.sum(), (pay * pay).sum()
+
+
+def _option_mc(state: MarketState, spec: OptionSpec, p: VasicekParams, cfg: MCConfig,
+               paths) -> MCEstimate:
+    """The alive check, grid and walls that both option estimators share.
+
+    ``paths(x0, grid, v, walls)`` returns the estimator's block builder for
+    `_simulate`, given the start x0 of the log forward, the time grid and
+    its per-step forward variances v.  A start outside the barrier region
+    returns the knocked-out estimate (0, 0).
+    """
+    x0 = log_forward(state, spec, p)
+    if spec.barrier_kind == SINGLE_UP:
+        lower, upper = None, spec.log_barriers[0]
+        alive = x0 < upper
+    else:
+        lower, upper = spec.log_barriers
+        alive = lower < x0 < upper
+    n = math.ceil((spec.maturity - state.time) * cfg.n_steps)
+    if not alive:
+        return MCEstimate(0.0, 0.0, cfg.n_paths, n, cfg.seed)
+    grid = np.linspace(state.time, spec.maturity, n + 1)
+    v = integrated_variance(grid[:-1], grid[1:], spec.maturity, p)
+    walls = _Walls(lower, upper, 1.0 / v, cfg.monitoring == BRIDGE)
+    return _simulate(cfg, n, paths(x0, grid, v, walls), spec.strike, walls)
 
 
 def price_barrier_mc(state: MarketState, spec: OptionSpec, p: VasicekParams,
@@ -253,60 +358,21 @@ def price_barrier_mc(state: MarketState, spec: OptionSpec, p: VasicekParams,
     the bond price.  A start outside the barrier region returns the
     knocked-out estimate (0, 0).
     """
-    x0 = log_forward(state, spec, p)
-    if spec.barrier_kind == SINGLE_UP:
-        upper = spec.log_barriers[0]
-        alive = x0 < upper
-        lower = None
-    else:
-        lower, upper = spec.log_barriers
-        alive = lower < x0 < upper
-    n = math.ceil((spec.maturity - state.time) * cfg.n_steps)
-    if not alive:
-        return MCEstimate(0.0, 0.0, cfg.n_paths, n, cfg.seed)
-    disc = bond_price(state.rate, state.time, spec.maturity, p)
-    grid = np.linspace(state.time, spec.maturity, n + 1)
-    v = integrated_variance(grid[:-1], grid[1:], spec.maturity, p)
-    sd = np.sqrt(v)
-    inv_v = 1.0 / v
-    bridge = cfg.monitoring == BRIDGE
+    def forward_paths(x0, grid, v, walls):
+        disc = bond_price(state.rate, state.time, spec.maturity, p)
+        sd = np.sqrt(v)
 
-    double_bridge = spec.barrier_kind == DOUBLE and bridge
-    z = np.empty((_BLOCK, n))
-    x = np.empty((_BLOCK, n + 1))
-    t = np.empty((_BLOCK, n))
-    u = np.empty((_BLOCK, n))
-    kb = np.empty((_BLOCK, n), dtype=bool)
-    acc = np.empty((_BLOCK, n)) if double_bridge else None
-    t2 = np.empty((_BLOCK, n)) if double_bridge else None
-
-    sums, sqsums = [], []
-    for index, m in _blocks(cfg.n_paths):
-        rng = _block_rng(cfg.seed, index)
-        zm, xm, tm, um, kbm = z[:m], x[:m], t[:m], u[:m], kb[:m]
-        rng.standard_normal(out=zm)
-        np.multiply(zm, sd, out=zm)
-        np.subtract(zm, 0.5 * v, out=zm)  # zm now holds the x-increments
-        np.cumsum(zm, axis=1, out=xm[:, 1:])
-        xm[:, 1:] += x0
-        xm[:, 0] = x0
-        if spec.barrier_kind == SINGLE_UP:
-            if bridge:
-                knocked = _single_bridge_knockout(xm, upper, -2.0 * inv_v, rng,
-                                                  tm, um, kbm)
-            else:
-                knocked = np.greater_equal(xm[:, 1:], upper, out=kbm).any(axis=1)
-        else:
-            if bridge:
-                knocked = _double_bridge_knockout(xm, zm, lower, upper, inv_v,
-                                                  rng, acc[:m], tm, t2[:m], um, kbm)
-            else:
-                knocked = np.less_equal(xm[:, 1:], lower, out=kbm).any(axis=1)
-                knocked |= np.greater_equal(xm[:, 1:], upper, out=kbm).any(axis=1)
-        s1, s2 = _payoff_stats(xm[:, -1], spec.strike, knocked, disc)
-        sums.append(s1)
-        sqsums.append(s2)
-    return _reduce(sums, sqsums, cfg.n_paths, n, cfg.seed)
+        def build(rng, buf, m):
+            z, x = buf("z", m), buf("x", m, 1)
+            rng.standard_normal(out=z)
+            np.multiply(z, sd, out=z)
+            np.subtract(z, 0.5 * v, out=z)  # z now holds the x-increments
+            np.cumsum(z, axis=1, out=x[:, 1:])
+            x[:, 1:] += x0
+            x[:, 0] = x0
+            return x, z, x[:, -1], disc
+        return build
+    return _option_mc(state, spec, p, cfg, forward_paths)
 
 
 def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
@@ -320,84 +386,38 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
     the forward-measure estimator (the forward's instantaneous variance is
     the same under both measures).
     """
-    x0 = log_forward(state, spec, p)
-    if spec.barrier_kind == SINGLE_UP:
-        upper = spec.log_barriers[0]
-        alive = x0 < upper
-        lower = None
-    else:
-        lower, upper = spec.log_barriers
-        alive = lower < x0 < upper
-    n = math.ceil((spec.maturity - state.time) * cfg.n_steps)
-    if not alive:
-        return MCEstimate(0.0, 0.0, cfg.n_paths, n, cfg.seed)
-    tau = spec.maturity
-    grid = np.linspace(state.time, tau, n + 1)
-    dt = (tau - state.time) / n
-    v = integrated_variance(grid[:-1], grid[1:], tau, p)
-    inv_v = 1.0 / v
-    log_a = _log_a_factor(grid, tau, p.a, p.theta, p.sigma2)
-    b_fac = b_factor(grid, tau, p.a)
-    rho_c = math.sqrt(1.0 - p.rho**2)
-    bridge = cfg.monitoring == BRIDGE
-    log_s0 = math.log(state.spot)
+    def joint_paths(x0, grid, v, walls):
+        tau = spec.maturity
+        dt = (tau - state.time) / (grid.size - 1)
+        log_a = _log_a_factor(grid, tau, p.a, p.theta, p.sigma2)
+        b_fac = b_factor(grid, tau, p.a)
+        rho_c = math.sqrt(1.0 - p.rho**2)
+        log_s0 = math.log(state.spot)
 
-    double_bridge = spec.barrier_kind == DOUBLE and bridge
-    z1 = np.empty((_BLOCK, n))
-    z2 = np.empty((_BLOCK, n))
-    work = np.empty((_BLOCK, n))
-    r = np.empty((_BLOCK, n + 1))
-    x = np.empty((_BLOCK, n + 1))
-    t = np.empty((_BLOCK, n))
-    u = np.empty((_BLOCK, n))
-    kb = np.empty((_BLOCK, n), dtype=bool)
-    acc = np.empty((_BLOCK, n)) if double_bridge else None
-    t2 = np.empty((_BLOCK, n)) if double_bridge else None
-
-    sums, sqsums = [], []
-    for index, m in _blocks(cfg.n_paths):
-        rng = _block_rng(cfg.seed, index)
-        z1m, z2m, wm, rm, xm = z1[:m], z2[:m], work[:m], r[:m], x[:m]
-        tm, um, kbm = t[:m], u[:m], kb[:m]
-        rng.standard_normal(out=z1m)
-        rng.standard_normal(out=z2m)
-        np.multiply(z2m, rho_c, out=z2m)
-        np.multiply(z1m, p.rho, out=wm)
-        np.add(z2m, wm, out=z2m)
-        _ou_paths_into(rm, z2m, wm, state.rate, dt, p)
-        disc_path = _trapezoid_discount(rm, dt)
-        # Euler log-stock increments: (r_j - s1^2/2) dt + s1 sqrt(dt) Z1
-        np.multiply(z1m, p.sigma1 * math.sqrt(dt), out=z1m)
-        np.multiply(rm[:, :-1], dt, out=wm)
-        np.add(z1m, wm, out=z1m)
-        z1m -= 0.5 * p.sigma1**2 * dt
-        np.cumsum(z1m, axis=1, out=xm[:, 1:])
-        xm[:, 1:] += log_s0
-        xm[:, 0] = log_s0
-        log_s_final = xm[:, -1].copy()
-        # switch xm from log spot to log forward: x = ln S - ln A + r B
-        np.multiply(rm, b_fac, out=rm)   # rm now holds r*B; r itself is done with
-        xm += rm
-        xm -= log_a
-        if spec.barrier_kind == SINGLE_UP:
-            if bridge:
-                knocked = _single_bridge_knockout(xm, upper, -2.0 * inv_v, rng,
-                                                  tm, um, kbm)
-            else:
-                knocked = np.greater_equal(xm[:, 1:], upper, out=kbm).any(axis=1)
-        else:
-            np.subtract(xm[:, 1:], xm[:, :-1], out=z2m)  # forward increments
-            if bridge:
-                knocked = _double_bridge_knockout(xm, z2m, lower, upper, inv_v,
-                                                  rng, acc[:m], tm, t2[:m], um, kbm)
-            else:
-                knocked = np.less_equal(xm[:, 1:], lower, out=kbm).any(axis=1)
-                knocked |= np.greater_equal(xm[:, 1:], upper, out=kbm).any(axis=1)
-        pay = np.exp(log_s_final)
-        pay -= spec.strike
-        np.maximum(pay, 0.0, out=pay)
-        pay[knocked] = 0.0
-        pay *= disc_path
-        sums.append(pay.sum())
-        sqsums.append((pay * pay).sum())
-    return _reduce(sums, sqsums, cfg.n_paths, n, cfg.seed)
+        def build(rng, buf, m):
+            z1, z2, work = buf("z", m), buf("z2", m), buf("work", m)
+            r, x = buf("r", m, 1), buf("x", m, 1)
+            rng.standard_normal(out=z1)
+            rng.standard_normal(out=z2)
+            np.multiply(z2, rho_c, out=z2)
+            np.multiply(z1, p.rho, out=work)
+            np.add(z2, work, out=z2)
+            _ou_paths_into(r, z2, work, state.rate, dt, p)
+            disc_path = np.exp(_log_discount(r, dt))
+            # Euler log-stock increments: (r_j - s1^2/2) dt + s1 sqrt(dt) Z1
+            np.multiply(z1, p.sigma1 * math.sqrt(dt), out=z1)
+            np.multiply(r[:, :-1], dt, out=work)
+            np.add(z1, work, out=z1)
+            z1 -= 0.5 * p.sigma1**2 * dt
+            np.cumsum(z1, axis=1, out=x[:, 1:])
+            x[:, 1:] += log_s0
+            x[:, 0] = log_s0
+            log_s_final = x[:, -1].copy()
+            # switch x from log spot to log forward: x = ln S - ln A + r B
+            np.multiply(r, b_fac, out=r)   # r now holds r*B; r itself is done with
+            x += r
+            x -= log_a
+            d = np.subtract(x[:, 1:], x[:, :-1], out=z2) if walls.needs_increments else None
+            return x, d, log_s_final, disc_path
+        return build
+    return _option_mc(state, spec, p, cfg, joint_paths)
