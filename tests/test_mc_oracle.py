@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from vasicek_barrier import mc_oracle
 from vasicek_barrier import (MCConfig, MarketState, OptionSpec, VasicekParams,
                              bond_mc, bond_price, integrated_variance,
                              log_forward, price_barrier_mc,
@@ -17,6 +19,14 @@ B_LOW = math.log(100.0)
 SINGLE = OptionSpec.single_up(100.0, 1.0, B_UP)
 CORRIDOR = OptionSpec.double(100.0, 1.0, B_LOW, B_UP)
 STATE = MarketState(spot=110.0, rate=0.05, time=0.0)
+
+ESTIMATORS = {
+    "forward-single": lambda cfg: price_barrier_mc(STATE, SINGLE, REF, cfg),
+    "forward-corridor": lambda cfg: price_barrier_mc(STATE, CORRIDOR, REF, cfg),
+    "two-factor-single": lambda cfg: price_barrier_mc_two_factor(STATE, SINGLE, REF, cfg),
+    "two-factor-corridor": lambda cfg: price_barrier_mc_two_factor(STATE, CORRIDOR, REF, cfg),
+    "bond": lambda cfg: bond_mc(0.05, 1.0, REF, cfg),
+}
 
 
 def z_score(est, reference):
@@ -72,6 +82,27 @@ class TestDeterminism:
         est1 = price_barrier_mc(STATE, SINGLE, REF, cfg)
         est2 = price_barrier_mc(STATE, SINGLE, REF, cfg)
         assert est1 == est2
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("monitoring", ["bridge_corrected", "discrete"])
+    def test_thread_count_leaves_the_estimate_bit_identical(self, estimator, monitoring,
+                                                             monkeypatch):
+        # five full blocks and a partial one, on 1 thread and on 3 (more than
+        # the cores of a small machine), with frequent thread switches
+        cfg = MCConfig(n_paths=5 * mc_oracle._BLOCK + 77, n_steps=16, seed=41,
+                       monitoring=monitoring)
+        monkeypatch.setattr(mc_oracle, "_workers", lambda n_blocks: 1)
+        estimate = ESTIMATORS[estimator]
+        serial = estimate(cfg)
+        monkeypatch.setattr(mc_oracle, "_workers", lambda n_blocks: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = estimate(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert serial.n_paths == cfg.n_paths
 
     def test_seed_changes_estimate(self):
         a = price_barrier_mc(STATE, SINGLE, REF, MCConfig(50_000, 64, 1))
