@@ -78,10 +78,14 @@ class MCConfig:
     monitoring: str = BRIDGE
 
     def __post_init__(self):
+        for name in ("n_paths", "n_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
+            raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
         if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
+            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.monitoring not in (BRIDGE, DISCRETE):
             raise ValueError(f"unknown monitoring mode: {self.monitoring!r}")
 

@@ -42,6 +42,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             MCConfig(monitoring="exact")
 
+    @pytest.mark.parametrize("field, bad", [
+        ("n_paths", math.nan), ("n_paths", True), ("n_paths", 1.5), ("n_paths", 1000.0),
+        ("n_paths", 0), ("n_paths", -3), ("n_steps", False), ("n_steps", 64.0),
+        ("n_steps", 0), ("seed", 1.5), ("seed", None), ("seed", True)])
+    def test_validation_names_the_field(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            MCConfig(**{field: bad})
+
     def test_steps_are_per_year(self):
         spec = OptionSpec.single_up(100.0, 0.5, B_UP)
         est = price_barrier_mc(STATE, spec, REF, MCConfig(1000, 512, 1))
