@@ -7,7 +7,9 @@ byte-identical for identical resolved configurations.
 
 Exit codes: 0 success, 1 configuration error, 2 price requested for a
 knocked-out spot, 3 verification failure, 4 a curve row failed to price
-(each failed row is reported on stderr).
+(each failed row is reported on stderr), 5 a pricing error: the model or
+the option cannot be valued (an explosive model, a barrier level that
+overflows a float), reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -428,8 +430,8 @@ def _verify_checks(cfg: JobConfig):
 
     state = pricer.MarketState(spot=cfg.spot, rate=p.r0, time=0.0)
     single = pricer.OptionSpec.single_up(cfg.strike, tau, cfg.barrier)
-    cap_single = max(math.exp(cfg.barrier) - cfg.strike, 0.0)
     ana_s = pricer.price_single_barrier(state, single, p).price
+    cap_single = max(math.exp(cfg.barrier) - cfg.strike, 0.0)
     for label, fn in (("forward-measure mc", mc_oracle.price_barrier_mc),
                       ("two-factor mc", mc_oracle.price_barrier_mc_two_factor)):
         est = fn(state, single, p, mc_cfg)
@@ -530,6 +532,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a valid configuration the pricers cannot value
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ inception exactly when its log forward is outside the barrier set.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,6 +45,7 @@ SINGLE_UP = "single_up"
 DOUBLE = "double"
 
 _SQRT_HALF = math.sqrt(0.5)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp() overflows above this
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,10 @@ class _Valuation:
             return PriceResult(0.0, knocked_out=True)
         if max(math.log(spec.strike), lower) >= upper:
             return PriceResult(0.0)
+        if upper > _LOG_FLOAT_MAX:
+            raise ValueError(
+                f"log_barriers[{len(spec.log_barriers) - 1}] = {upper!r}: the barrier "
+                f"level exp({upper!r}) overflows a float")
         v = self.v
         if v == 0.0:
             return PriceResult(self.disc * max(math.exp(x) - spec.strike, 0.0))

@@ -56,6 +56,16 @@ class TestPriceCommand:
         assert code == 1
         assert "barrier" in err
 
+    def test_explosive_model_is_a_pricing_error(self, capsys):
+        code, out, err = run(capsys, "price", "--a=-2", "--maturity", "30")
+        assert code == 5 and out == ""
+        assert err.startswith("error: ") and "a=-2.0" in err and "maturity 30.0" in err
+
+    def test_overflowing_barrier_level_is_a_pricing_error(self, capsys):
+        code, out, err = run(capsys, "price", "--barrier", "1500")
+        assert code == 5 and out == ""
+        assert err.startswith("error: ") and "log_barriers[0] = 1500.0" in err
+
 
 class TestConfigFile:
     def test_file_overrides_defaults_flags_override_file(self, tmp_path, capsys):

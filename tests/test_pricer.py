@@ -268,3 +268,13 @@ class TestExplosiveModel:
                             self.EXPLOSIVE)
         assert np.all(np.isnan(curve.prices))
         assert all(e is not None and "a=-2.0" in e for e in curve.errors)
+
+
+@pytest.mark.parametrize("option, pricer, field", [
+    (OptionSpec.single_up(100.0, 1.0, 1500.0), price_single_barrier, "log_barriers[0]"),
+    (OptionSpec.double(100.0, 1.0, B_LOW, 1000.0), price_double_barrier, "log_barriers[1]"),
+], ids=["single", "double"])
+def test_barrier_level_overflow_raises_naming_the_barrier(option, pricer, field):
+    # e^1500 and e^1000 are beyond the largest float
+    with pytest.raises(ValueError, match=re.escape(field) + ".*overflows"):
+        pricer(MarketState(spot=110.0, rate=0.05), option, REF)
