@@ -8,17 +8,15 @@ independent Monte Carlo oracles and a constant-rate closed form verify every
 number it produces.
 """
 
-from .kernels import (SeriesTruncation, SeriesTruncationError, barrier_kernel,
-                      double_barrier_kernel, eigenfunction, free_kernel,
-                      series_terms)
+from .kernels import barrier_kernel, double_barrier_kernel, free_kernel
 from .mc_oracle import (MCConfig, MCEstimate, bond_mc, price_barrier_mc,
                         price_barrier_mc_two_factor)
-from .model import (BondContext, VasicekParams, b_factor, bond_context,
-                    bond_price, bond_price_from_ode, effective_vol_sq,
-                    integrated_variance, log_bond_price)
+from .model import (VasicekParams, b_factor, bond_price, bond_price_from_ode,
+                    effective_vol_sq, integrated_variance, log_bond_price)
 from .pricer import (MarketState, OptionSpec, PriceCurve, PriceResult,
-                     corridor_call_forward, log_forward, price_curve,
-                     price_double_barrier, price_single_barrier,
+                     SeriesTruncation, SeriesTruncationError,
+                     corridor_call_forward, log_forward, price, price_curve,
+                     price_double_barrier, price_single_barrier, series_terms,
                      up_and_out_call_constant_rate, vanilla_call_forward)
 from .quad_oracle import price_by_quadrature
 from .quadrature import QuadratureError, QuadratureSpec, integrate
@@ -26,7 +24,6 @@ from .quadrature import QuadratureError, QuadratureSpec, integrate
 __version__ = "0.1.0"
 
 __all__ = [
-    "BondContext",
     "MCConfig",
     "MCEstimate",
     "MarketState",
@@ -40,14 +37,12 @@ __all__ = [
     "VasicekParams",
     "b_factor",
     "barrier_kernel",
-    "bond_context",
     "bond_mc",
     "bond_price",
     "bond_price_from_ode",
     "corridor_call_forward",
     "double_barrier_kernel",
     "effective_vol_sq",
-    "eigenfunction",
     "free_kernel",
     "integrate",
     "integrated_variance",
@@ -55,6 +50,7 @@ __all__ = [
     "log_forward",
     "price_barrier_mc",
     "price_barrier_mc_two_factor",
+    "price",
     "price_by_quadrature",
     "price_curve",
     "price_double_barrier",

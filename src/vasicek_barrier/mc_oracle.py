@@ -45,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import VasicekParams, b_factor, bond_price, _log_a_factor, \
-    integrated_variance
-from .pricer import SINGLE_UP, MarketState, OptionSpec, log_forward
+from .model import (VasicekParams, b_factor, bond_price, integrated_variance,
+                    log_bond_price)
+from .pricer import MarketState, OptionSpec, log_forward
 
 BRIDGE = "bridge_corrected"
 DISCRETE = "discrete"
@@ -315,11 +315,11 @@ def _double_bridge_knockout(x, d, lower, upper, inv_v, rng, acc, t, t2, u, kb):
 class _Walls:
     """Knock-out walls on the log forward, and the one monitor that applies them.
 
-    ``lower`` is None for the up-and-out; ``inv_v`` holds the reciprocal
+    ``lower`` is -inf for the up-and-out; ``inv_v`` holds the reciprocal
     per-step forward variances of the grid.
     """
 
-    lower: float | None
+    lower: float
     upper: float
     inv_v: np.ndarray
     bridge: bool
@@ -327,12 +327,12 @@ class _Walls:
     @property
     def needs_increments(self) -> bool:
         """Whether `knock` reads the step increments ``d``."""
-        return self.lower is not None and self.bridge
+        return self.lower > -math.inf and self.bridge
 
     def knock(self, x, d, rng, buf, m):
         """Mask of the m paths in x that the walls knock out."""
         kb = buf("kb", m, dtype=bool)
-        if self.lower is None:
+        if self.lower == -math.inf:
             if self.bridge:
                 return _single_bridge_knockout(x, self.upper, -2.0 * self.inv_v, rng,
                                                buf("t", m), buf("u", m), kb)
@@ -367,14 +367,9 @@ def _option_mc(state: MarketState, spec: OptionSpec, p: VasicekParams, cfg: MCCo
     returns the knocked-out estimate (0, 0).
     """
     x0 = log_forward(state, spec, p)
-    if spec.barrier_kind == SINGLE_UP:
-        lower, upper = None, spec.log_barriers[0]
-        alive = x0 < upper
-    else:
-        lower, upper = spec.log_barriers
-        alive = lower < x0 < upper
+    lower, upper = spec.walls
     n = math.ceil((spec.maturity - state.time) * cfg.n_steps)
-    if not alive:
+    if not lower < x0 < upper:
         return MCEstimate(0.0, 0.0, cfg.n_paths, n, cfg.seed)
     grid = np.linspace(state.time, spec.maturity, n + 1)
     v = integrated_variance(grid[:-1], grid[1:], spec.maturity, p)
@@ -423,7 +418,7 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
     def joint_paths(x0, grid, v, walls):
         tau = spec.maturity
         dt = (tau - state.time) / (grid.size - 1)
-        log_a = _log_a_factor(grid, tau, p.a, p.theta, p.sigma2)
+        log_a = log_bond_price(0.0, grid, tau, p)  # log A: the log bond price at r = 0
         b_fac = b_factor(grid, tau, p.a)
         rho_c = math.sqrt(1.0 - p.rho**2)
         log_s0 = math.log(state.spot)

@@ -70,16 +70,6 @@ class VasicekParams:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
 
 
-@dataclass(frozen=True)
-class BondContext:
-    """Bond affine factors at a valuation time, P = a_factor * exp(-r * b_factor)."""
-
-    t: float
-    tau: float
-    b_factor: float
-    a_factor: float
-
-
 def _check_order(t, tau):
     if np.any(np.asarray(t) > tau):
         raise ValueError(f"valuation time t={t} exceeds maturity tau={tau}")
@@ -107,43 +97,30 @@ def b_factor(t, tau: float, a: float):
     return out if out.ndim else float(out)
 
 
-def _log_a_factor(t, tau: float, a: float, theta: float, sigma2: float,
-                  variant: str = "standard"):
-    """log A(t) of the bond price.
-
-    ``variant="standard"`` is the affine solution satisfying the bond PDE with
-    terminal condition P = 1.  ``variant="alt"`` is an alternative bracket
-    grouping of the same symbols, exp[(B^2-u)*(a^2*theta - s^2/2 - s^2*B^2/(4a))/a^2];
-    it does not satisfy the PDE and is kept only so verification jobs can
-    demonstrate that the Monte Carlo check rejects it.
-    """
-    u = tau - np.asarray(t, dtype=float)
-    B = b_factor(t, tau, a)
-    s2 = sigma2 * sigma2
-    if variant == "alt":
-        return (B * B - u) * (a * a * theta - s2 / 2.0 - s2 * B * B / (4.0 * a)) / (a * a)
-    if variant != "standard":
-        raise ValueError(f"unknown bond A-factor variant: {variant!r}")
-    if abs(a) < SMALL_A:
-        # theta*(B - u) + s2*(u^3/6 - a*u^4/8) to O(a^2)
-        return theta * (-a * u**2 / 2.0 + a**2 * u**3 / 6.0) + s2 * (u**3 / 6.0 - a * u**4 / 8.0)
-    return (B - u) * (a * a * theta - s2 / 2.0) / (a * a) - s2 * B * B / (4.0 * a)
-
-
-def log_bond_price(r, t, tau: float, p: VasicekParams, variant: str = "standard"):
+def log_bond_price(r, t, tau: float, p: VasicekParams):
     """Log of the zero-coupon bond price, log A(t) - r * B(t).
 
+    log A is the affine solution of the bond PDE with P(tau) = 1.
     Parameters are those of `bond_price`.  For a negative mean-reversion
     speed over a long horizon the bond price itself overflows while its log
     is still finite.
     """
     _check_order(t, tau)
-    log_a = _log_a_factor(t, tau, p.a, p.theta, p.sigma2, variant)
-    out = log_a - np.asarray(r, dtype=float) * b_factor(t, tau, p.a)
+    a = p.a
+    u = tau - np.asarray(t, dtype=float)
+    B = b_factor(t, tau, a)
+    s2 = p.sigma2 * p.sigma2
+    if abs(a) < SMALL_A:
+        # theta*(B - u) + s2*(u^3/6 - a*u^4/8) to O(a^2)
+        log_a = p.theta * (-a * u**2 / 2.0 + a**2 * u**3 / 6.0) \
+            + s2 * (u**3 / 6.0 - a * u**4 / 8.0)
+    else:
+        log_a = (B - u) * (a * a * p.theta - s2 / 2.0) / (a * a) - s2 * B * B / (4.0 * a)
+    out = log_a - np.asarray(r, dtype=float) * B
     return out if np.ndim(out) else float(out)
 
 
-def bond_price(r, t, tau: float, p: VasicekParams, variant: str = "standard"):
+def bond_price(r, t, tau: float, p: VasicekParams):
     """Zero-coupon bond price P(r, t; tau) = A(t) * exp(-r * B(t)).
 
     Parameters
@@ -156,21 +133,9 @@ def bond_price(r, t, tau: float, p: VasicekParams, variant: str = "standard"):
         Maturity; P(r, tau; tau) = 1 for every r.
     p : VasicekParams
         Model parameters (only a, theta, sigma2 enter).
-    variant : str
-        A-factor variant, see `_log_a_factor`.  Leave at "standard".
     """
-    out = np.exp(log_bond_price(r, t, tau, p, variant))
+    out = np.exp(log_bond_price(r, t, tau, p))
     return out if out.ndim else float(out)
-
-
-def bond_context(t: float, tau: float, p: VasicekParams) -> BondContext:
-    """Both affine bond factors at once, for callers that reuse them."""
-    return BondContext(
-        t=t,
-        tau=tau,
-        b_factor=b_factor(t, tau, p.a),
-        a_factor=float(np.exp(_log_a_factor(t, tau, p.a, p.theta, p.sigma2))),
-    )
 
 
 def effective_vol_sq(t, tau: float, p: VasicekParams):

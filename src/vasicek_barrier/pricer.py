@@ -18,10 +18,11 @@ Step 3 is the integral of an absorbing transition kernel against the payoff
   e^{x'/2} and e^{-x'/2} in closed form, so the price is a finite sum over
   the modes that `series_terms` keeps (`corridor_call_forward`).
 
-This is the production path.  The kernels of `kernels.py` and the adaptive
-quadrature of `quadrature.py` do not run on it: `quad_oracle` integrates
-the kernels numerically, and `verify` and the tests hold the closed forms
-to that independent result.
+This is the production path, and with `model.py` it imports no other module
+of the package.  The kernels of `kernels.py` and the adaptive quadrature of
+`quadrature.py` do not run on it: `quad_oracle` integrates the kernels
+numerically, and `verify` and the tests hold the closed forms to that
+independent result.  The oracles import from here, never the reverse.
 
 Barriers are levels on the forward price, which is where the knock-out
 condition of the underlying derivation lives; a spot is knocked out at
@@ -37,7 +38,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import SeriesTruncation, SeriesTruncationError, series_terms
 from .model import (VasicekParams, _require_finite, bond_price,
                     integrated_variance)
 
@@ -77,6 +77,14 @@ class OptionSpec:
                 raise ValueError("double barrier needs levels (lower, upper) with lower < upper")
         else:
             raise ValueError(f"unknown barrier kind: {self.barrier_kind!r}")
+
+    @property
+    def walls(self) -> tuple[float, float]:
+        """Knock-out levels (lower, upper) on the log forward; lower is -inf for the up-and-out."""
+        if self.barrier_kind == SINGLE_UP:
+            return -math.inf, self.log_barriers[0]
+        lower, upper = self.log_barriers
+        return lower, upper
 
     @classmethod
     def single_up(cls, strike: float, maturity: float, log_barrier: float) -> "OptionSpec":
@@ -128,9 +136,8 @@ class _Valuation:
     curve, so a curve evaluates each of them once rather than once per spot.
     """
 
-    def __init__(self, spec: OptionSpec, p: VasicekParams, rate: float, time: float,
-                 trunc: SeriesTruncation = SeriesTruncation()):
-        self.spec, self.p, self.time, self.trunc = spec, p, time, trunc
+    def __init__(self, spec: OptionSpec, p: VasicekParams, rate: float, time: float):
+        self.spec, self.p, self.time = spec, p, time
         with np.errstate(over="ignore"):  # an overflow is reported by log_forward
             self.disc = bond_price(rate, time, spec.maturity, p)
 
@@ -140,8 +147,8 @@ class _Valuation:
 
     @cached_property
     def n_modes(self) -> int:
-        lower, upper = self.spec.log_barriers
-        return series_terms(self.v, lower, upper, self.trunc)
+        lower, upper = self.spec.walls
+        return series_terms(self.v, lower, upper)
 
     def log_forward(self, spot: float) -> float:
         if not 0.0 < self.disc < math.inf:
@@ -154,10 +161,7 @@ class _Valuation:
     def price(self, spot: float) -> PriceResult:
         spec = self.spec
         x = self.log_forward(spot)
-        if spec.barrier_kind == SINGLE_UP:
-            lower, upper = -math.inf, spec.log_barriers[0]
-        else:
-            lower, upper = spec.log_barriers
+        lower, upper = spec.walls
         if not lower < x < upper:
             return PriceResult(0.0, knocked_out=True)
         if max(math.log(spec.strike), lower) >= upper:
@@ -169,7 +173,7 @@ class _Valuation:
         v = self.v
         if v == 0.0:
             return PriceResult(self.disc * max(math.exp(x) - spec.strike, 0.0))
-        if spec.barrier_kind == SINGLE_UP:
+        if lower == -math.inf:
             value = up_and_out_call_constant_rate(math.exp(x), spec.strike, math.exp(upper),
                                                   rate=0.0, sigma=math.sqrt(v), maturity=1.0)
         else:
@@ -208,6 +212,65 @@ def vanilla_call_forward(x: float, strike: float, v: float) -> float:
     rv = math.sqrt(v)
     d1 = (x - math.log(strike) + 0.5 * v) / rv
     return math.exp(x) * _norm_cdf(d1) - strike * _norm_cdf(d1 - rv)
+
+
+@dataclass(frozen=True)
+class SeriesTruncation:
+    """Truncation control for the double-barrier eigenmode series."""
+
+    tol: float = 1e-12
+    max_terms: int = 100_000
+
+    def __post_init__(self):
+        if self.tol <= 0:
+            raise ValueError("truncation tolerance must be positive")
+        if self.max_terms < 1:
+            raise ValueError("max_terms must be at least 1")
+
+
+class SeriesTruncationError(ValueError):
+    """Raised when the eigenmode series cannot reach the requested tolerance.
+
+    A ValueError: the corridor cannot be valued at these inputs, as for any
+    other pricing error.
+    """
+
+    def __init__(self, message: str, achieved_bound: float):
+        super().__init__(message)
+        self.achieved_bound = achieved_bound
+
+
+def series_terms(v: float, lower: float, upper: float,
+                 trunc: SeriesTruncation = SeriesTruncation()) -> int:
+    """Number of eigenmodes the corridor series keeps at variance v.
+
+    Sets the mode count of `corridor_call_forward` and of the oracle kernel
+    `kernels.double_barrier_kernel`.
+
+    Returns the smallest n at which the geometric tail bound
+    (2/L) * exp(-p_n^2 v / 2) / (1 - exp(-(2n+1) pi^2 v / (2 L^2)))
+    drops below ``trunc.tol``.  Raises `SeriesTruncationError` when
+    ``trunc.max_terms`` modes do not suffice.
+    """
+    if v <= 0:
+        raise ValueError(f"accumulated variance must be positive, got {v}")
+    width = upper - lower
+    c = np.pi**2 * v / (2.0 * width**2)  # p_n^2 v/2 = c * n^2
+    n = 0
+    chunk = 1024
+    while n < trunc.max_terms:
+        hi = min(n + chunk, trunc.max_terms)
+        ns = np.arange(n + 1, hi + 1, dtype=float)
+        bounds = (2.0 / width) * np.exp(-c * ns * ns) / (-np.expm1(-(2.0 * ns + 1.0) * c))
+        ok = np.nonzero(bounds < trunc.tol)[0]
+        if ok.size:
+            return int(ns[ok[0]])
+        n = hi
+    last = float((2.0 / width) * np.exp(-c * trunc.max_terms**2)
+                 / (-np.expm1(-(2.0 * trunc.max_terms + 1.0) * c)))
+    raise SeriesTruncationError(
+        f"corridor series needs more than {trunc.max_terms} modes "
+        f"(tail bound {last:.3e} > tol {trunc.tol:.3e})", achieved_bound=last)
 
 
 def corridor_call_forward(x: float, strike: float, v: float, lower: float, upper: float,
@@ -270,48 +333,56 @@ def price_single_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams,
     return terms.price(state.spot)
 
 
-def price_double_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams,
-                         trunc: SeriesTruncation = SeriesTruncation(), *,
+def price_double_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams, *,
                          terms: _Valuation | None = None) -> PriceResult:
     """Value a knock-out call inside an absorbing corridor.
 
     Returns P times `corridor_call_forward`: the integral of
     `double_barrier_kernel(x, x', v, lower, upper)` against (e^{x'} - K)
     over max(ln K, lower) < x' < upper, summed in closed form over the
-    modes that `series_terms` keeps under ``trunc``.  ``terms`` is as for
-    `price_single_barrier`, and carries its own truncation.
+    modes that `series_terms` keeps.  ``terms`` is as for
+    `price_single_barrier`.
     """
     if spec.barrier_kind != DOUBLE:
         raise ValueError(f"expected a double option, got {spec.barrier_kind!r}")
     if terms is None:
-        terms = _Valuation(spec, p, state.rate, state.time, trunc)
+        terms = _Valuation(spec, p, state.rate, state.time)
     return terms.price(state.spot)
 
 
-def price_curve(spots, spec: OptionSpec, p: VasicekParams,
-                trunc: SeriesTruncation = SeriesTruncation()) -> PriceCurve:
+def price(state: MarketState, spec: OptionSpec, p: VasicekParams, *,
+          terms: _Valuation | None = None) -> PriceResult:
+    """Value a knock-out call of either kind.
+
+    The one place that picks the pricer for ``spec.barrier_kind``:
+    `price_single_barrier` or `price_double_barrier`, looked up when called.
+    """
+    fn = price_single_barrier if spec.barrier_kind == SINGLE_UP else price_double_barrier
+    return fn(state, spec, p, terms=terms)
+
+
+def price_curve(spots, spec: OptionSpec, p: VasicekParams) -> PriceCurve:
     """Price the option over a strictly increasing spot grid at t=0, r=r0.
 
     The bond price, the variance and the corridor's mode count do not
     depend on spot and are computed once for the curve.  Knocked-out spots
     price to zero.  A row that fails with a ValueError (a bad spot, an
-    explosive model) or a `SeriesTruncationError` is recorded in ``errors``
-    for that row, with the price set to NaN, and does not abort the rest of
-    the curve; any other exception propagates.
+    explosive model, a corridor series past its mode budget) is recorded in
+    ``errors`` for that row, with the price set to NaN, and does not abort
+    the rest of the curve; any other exception propagates.
     """
     spots = np.asarray(spots, dtype=float)
     if spots.size == 0:
         raise ValueError("spot grid must be non-empty")
     if np.any(np.diff(spots) <= 0):
         raise ValueError("spot grid must be strictly increasing")
-    terms = _Valuation(spec, p, p.r0, 0.0, trunc)
-    price = price_single_barrier if spec.barrier_kind == SINGLE_UP else price_double_barrier
+    terms = _Valuation(spec, p, p.r0, 0.0)
     prices = np.empty_like(spots)
     errors: list = [None] * spots.size
     for i, s in enumerate(spots):
         try:
             prices[i] = price(MarketState(spot=float(s), rate=p.r0), spec, p, terms=terms).price
-        except (ValueError, SeriesTruncationError) as exc:  # per-row capture
+        except ValueError as exc:  # per-row capture
             prices[i] = np.nan
             errors[i] = f"{type(exc).__name__}: {exc}"
     return PriceCurve(spots=spots, prices=prices, errors=tuple(errors),

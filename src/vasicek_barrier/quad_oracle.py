@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-from .kernels import SeriesTruncation, barrier_kernel, double_barrier_kernel
+from .kernels import barrier_kernel, double_barrier_kernel
 from .model import VasicekParams, bond_price, integrated_variance
-from .pricer import SINGLE_UP, MarketState, OptionSpec, PriceResult, log_forward
+from .pricer import MarketState, OptionSpec, PriceResult, log_forward
 from .quadrature import QuadratureSpec, integrate
 
 # The image kernel carries no mass beyond this many standard deviations
@@ -26,21 +26,17 @@ _TAIL_SDS = 12.0
 
 
 def price_by_quadrature(state: MarketState, spec: OptionSpec, p: VasicekParams,
-                        quad: QuadratureSpec = QuadratureSpec(),
-                        trunc: SeriesTruncation = SeriesTruncation()) -> PriceResult:
+                        quad: QuadratureSpec = QuadratureSpec()) -> PriceResult:
     """P times the integral of kernel(x, x', v) * (e^{x'} - K) over the payoff region.
 
     The up-and-out integrates `barrier_kernel` over max(ln K, x - v/2 -
     12 sqrt(v)) < x' < B; the corridor integrates `double_barrier_kernel`
-    (truncated by ``trunc``) over max(ln K, lower) < x' < upper.  Knock-out
-    and empty-payoff cases price as in `pricer`.  Raises `QuadratureError`
-    when ``quad`` cannot be met.
+    over max(ln K, lower) < x' < upper.  Knock-out and empty-payoff cases
+    price as in `pricer`.  Raises `QuadratureError` when ``quad`` cannot be
+    met.
     """
     x = log_forward(state, spec, p)
-    if spec.barrier_kind == SINGLE_UP:
-        lower, upper = -math.inf, spec.log_barriers[0]
-    else:
-        lower, upper = spec.log_barriers
+    lower, upper = spec.walls
     if not lower < x < upper:
         return PriceResult(0.0, knocked_out=True)
     disc = bond_price(state.rate, state.time, spec.maturity, p)
@@ -50,7 +46,7 @@ def price_by_quadrature(state: MarketState, spec: OptionSpec, p: VasicekParams,
     v = integrated_variance(state.time, spec.maturity, spec.maturity, p)
     if v == 0.0:
         return PriceResult(disc * max(math.exp(x) - spec.strike, 0.0))
-    if spec.barrier_kind == SINGLE_UP:
+    if lower == -math.inf:
         lo = max(log_k, x - 0.5 * v - _TAIL_SDS * math.sqrt(v))
 
         def kernel(xp):
@@ -59,6 +55,6 @@ def price_by_quadrature(state: MarketState, spec: OptionSpec, p: VasicekParams,
         lo = max(log_k, lower)
 
         def kernel(xp):
-            return double_barrier_kernel(x, xp, v, lower, upper, trunc)
+            return double_barrier_kernel(x, xp, v, lower, upper)
     val, _ = integrate(lambda xp: kernel(xp) * (np.exp(xp) - spec.strike), lo, upper, quad)
     return PriceResult(disc * val)

@@ -8,6 +8,7 @@ summation so results do not depend on evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +37,10 @@ class QuadratureSpec:
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the panel budget is exhausted; carries the best estimate."""
+    """Raised when the panel budget is exhausted or the integrand is not finite.
+
+    Carries the best estimate, which is NaN for a non-finite integrand.
+    """
 
     def __init__(self, message: str, estimate: float, err_estimate: float):
         super().__init__(message)
@@ -47,7 +51,11 @@ class QuadratureError(RuntimeError):
 def _rule(f: Callable, a: float, b: float) -> float:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return half * float(np.dot(_WEIGHTS, np.asarray(f(mid + half * _NODES), dtype=float)))
+    value = half * float(np.dot(_WEIGHTS, np.asarray(f(mid + half * _NODES), dtype=float)))
+    if not math.isfinite(value):  # a NaN or inf value; no bisection can mend it
+        raise QuadratureError(f"integrand is not finite on the panel [{a!r}, {b!r}]",
+                              estimate=math.nan, err_estimate=math.inf)
+    return value
 
 
 def integrate(f: Callable, lo: float, hi: float,
@@ -73,8 +81,9 @@ def integrate(f: Callable, lo: float, hi: float,
     Raises
     ------
     QuadratureError
-        If the tolerance is not met within ``spec.max_panels`` panels.  The
-        exception carries the best estimate obtained.
+        If the tolerance is not met within ``spec.max_panels`` panels, in
+        which case the exception carries the best estimate obtained, or at
+        the first panel where the integrand is not finite.
     """
     if lo > hi:
         raise ValueError(f"integration bounds out of order: [{lo}, {hi}]")

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from vasicek_barrier import pricer
+from vasicek_barrier import cli, pricer
 from vasicek_barrier.cli import main
 
 SMOKE = ["--paths", "2000", "--steps", "64", "--seed", "5"]
@@ -65,6 +66,14 @@ class TestPriceCommand:
         code, out, err = run(capsys, "price", "--barrier", "1500")
         assert code == 5 and out == ""
         assert err.startswith("error: ") and "log_barriers[0] = 1500.0" in err
+
+    def test_corridor_past_its_mode_budget_is_a_pricing_error(self, capsys):
+        # total variance 1e-18 in a corridor 0.27 wide
+        code, out, err = run(capsys, "price", "--sigma1", "1e-9", "--sigma2", "0",
+                             "--barrier-low", "4.6", "--barrier-high", "4.87")
+        assert code == 5 and out == ""
+        assert err.startswith("error: ") and "more than 100000 modes" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestConfigFile:
@@ -216,15 +225,36 @@ class TestVerifyCommand:
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert len(lines) == 10
 
-    def test_tampered_bond_factor_fails(self, capsys):
-        code, out, _ = run(capsys, "verify", "--paths", "20000", "--steps", "64",
-                           "--bond-a-variant", "alt")
+    def test_tampered_bond_factor_fails(self, monkeypatch, capsys):
+        def regrouped_bond_price(r, t, tau, p):
+            # the A-factor with its brackets regrouped,
+            # exp[(B^2-u)*(a^2*theta - s^2/2 - s^2*B^2/(4a))/a^2]: the same
+            # symbols, but it does not satisfy the bond PDE
+            u = tau - t
+            b = cli.model.b_factor(t, tau, p.a)
+            s2 = p.sigma2 ** 2
+            log_a = (b * b - u) * (p.a**2 * p.theta - s2 / 2.0 - s2 * b * b / (4.0 * p.a)) / p.a**2
+            return math.exp(log_a - r * b)
+
+        ref = cli.model.VasicekParams(a=1.0, theta=0.04, sigma1=0.3, sigma2=0.3,
+                                      rho=0.5, r0=0.05)
+        assert regrouped_bond_price(0.05, 0.0, 1.0, ref) == pytest.approx(0.97706136, rel=1e-8)
+        monkeypatch.setattr(cli.model, "bond_price", regrouped_bond_price)
+        code, out, _ = run(capsys, "verify", "--paths", "20000", "--steps", "64")
         assert code == 3
         lines = out.strip().splitlines()
         assert any(line.startswith("FAIL") and "bond vs monte carlo" in line
                    for line in lines)
         assert any(line.startswith("FAIL") and "ode" in line for line in lines)
 
+    def test_explosive_model_fails_before_any_check(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow on the way to the error
+            code, out, err = run(capsys, "verify", "--a=-2", "--maturity", "30",
+                                 "--paths", "1000", "--steps", "4")
+        assert code == 5 and out == ""
+        assert err.startswith("error: ") and "a=-2.0" in err and "maturity 30.0" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("closed_form", ["up_and_out_call_constant_rate",
                                              "corridor_call_forward"])

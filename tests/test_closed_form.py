@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from vasicek_barrier import (MarketState, OptionSpec, VasicekParams, bond_price,
-                             price_by_quadrature, price_double_barrier,
-                             price_single_barrier)
+                             price, price_by_quadrature)
 from vasicek_barrier.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,17 +33,11 @@ REL_TOL = 1e-10
 ABS_TOL = 1e-12  # near the walls, where the prices themselves vanish
 
 
-def _closed_form(state, option, p):
-    if option.barrier_kind == "single_up":
-        return price_single_barrier(state, option, p)
-    return price_double_barrier(state, option, p)
-
-
 def _worst_excess(cases):
     """Largest |closed - quadrature| over the tolerance; <= 1 passes."""
     worst, where = 0.0, None
     for state, option, p in cases:
-        ours = _closed_form(state, option, p)
+        ours = price(state, option, p)
         quad = price_by_quadrature(state, option, p)
         assert ours.knocked_out == quad.knocked_out
         excess = abs(ours.price - quad.price) / (ABS_TOL + REL_TOL * abs(quad.price))

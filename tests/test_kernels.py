@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from vasicek_barrier import (SeriesTruncation, SeriesTruncationError,
                              barrier_kernel, double_barrier_kernel,
-                             eigenfunction, free_kernel, series_terms)
+                             free_kernel, series_terms)
 
 B_LOW = math.log(100.0)
 B_UP = math.log(130.0)
@@ -95,32 +95,6 @@ class TestBarrierKernel:
     def test_knocked_out_start_rejected(self):
         with pytest.raises(ValueError):
             barrier_kernel(B_UP + 0.01, 4.5, 0.1, B_UP)
-
-
-class TestEigenfunction:
-    def test_orthonormality(self):
-        for n in (1, 2, 5):
-            for m in (1, 2, 5):
-                val, _ = quad(lambda x: eigenfunction(n, x, B_LOW, B_UP)
-                              * eigenfunction(m, x, B_LOW, B_UP), B_LOW, B_UP,
-                              epsabs=1e-13, limit=200)
-                assert val == pytest.approx(1.0 if n == m else 0.0, abs=1e-10)
-
-    def test_vanishes_at_walls_and_outside(self):
-        for n in (1, 3):
-            assert eigenfunction(n, B_LOW, B_LOW, B_UP) == 0.0
-            assert eigenfunction(n, B_UP, B_LOW, B_UP) == 0.0
-            assert eigenfunction(n, B_LOW - 0.5, B_LOW, B_UP) == 0.0
-            assert eigenfunction(n, B_UP + 0.5, B_LOW, B_UP) == 0.0
-
-    def test_midpoint_amplitude(self):
-        width = B_UP - B_LOW
-        assert eigenfunction(1, 0.5 * (B_LOW + B_UP), B_LOW, B_UP) == pytest.approx(
-            math.sqrt(2.0 / width), rel=1e-14)
-
-    def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            eigenfunction(0, 4.7, B_LOW, B_UP)
 
 
 class TestDoubleBarrierKernel:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vasicek_barrier import (VasicekParams, b_factor, bond_context, bond_price,
+from vasicek_barrier import (VasicekParams, b_factor, bond_price,
                              bond_price_from_ode, effective_vol_sq,
                              integrated_variance, log_bond_price)
 
@@ -93,26 +93,10 @@ class TestBondPrice:
         # pinned against the ODE oracle above
         assert bond_price(0.05, 0.0, 1.0, REF) == pytest.approx(0.9619843470027912, rel=1e-12)
 
-    def test_alt_variant_disagrees_with_ode(self):
-        alt = bond_price(0.05, 0.0, 1.0, REF, variant="alt")
-        assert alt == pytest.approx(0.97706136, rel=1e-8)
-        assert abs(alt - bond_price_from_ode(0.05, 0.0, 1.0, REF)) > 1e-2
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            bond_price(0.05, 0.0, 1.0, REF, variant="mystery")
-
     def test_small_a_against_ode(self):
         p = VasicekParams(a=1e-8, theta=0.04, sigma1=0.2, sigma2=0.3, rho=0.0, r0=0.05)
         assert bond_price(0.05, 0.0, 2.0, p) == pytest.approx(
             bond_price_from_ode(0.05, 0.0, 2.0, p), rel=1e-8)
-
-    def test_context_consistent(self):
-        ctx = bond_context(0.2, 1.0, REF)
-        assert ctx.a_factor * math.exp(-0.07 * ctx.b_factor) == pytest.approx(
-            bond_price(0.07, 0.2, 1.0, REF), rel=1e-14)
-        assert bond_context(1.0, 1.0, REF).b_factor == 0.0
-        assert bond_context(1.0, 1.0, REF).a_factor == 1.0
 
 
 class TestEffectiveVolSq:

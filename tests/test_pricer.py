@@ -7,11 +7,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from vasicek_barrier import (MarketState, OptionSpec, SeriesTruncation,
-                             VasicekParams, bond_price, free_kernel,
-                             integrated_variance, log_forward, price_curve,
-                             price_double_barrier, price_single_barrier,
-                             up_and_out_call_constant_rate,
+from vasicek_barrier import (MarketState, OptionSpec, PriceResult,
+                             SeriesTruncationError, VasicekParams, bond_price,
+                             free_kernel, integrated_variance, log_forward,
+                             price, price_curve, price_double_barrier,
+                             price_single_barrier, up_and_out_call_constant_rate,
                              vanilla_call_forward)
 
 REF = VasicekParams(a=1.0, theta=0.04, sigma1=0.3, sigma2=0.3, rho=0.5, r0=0.05)
@@ -49,6 +49,28 @@ class TestOptionSpec:
             OptionSpec(100.0, 1.0, "american", (B_UP,))
         with pytest.raises(ValueError):
             MarketState(spot=-1.0, rate=0.05)
+
+    def test_walls(self):
+        assert SINGLE.walls == (-math.inf, B_UP)
+        assert CORRIDOR.walls == (B_LOW, B_UP)
+
+
+class TestPrice:
+    def test_dispatches_on_the_barrier_kind(self):
+        for spot in (90.0, 110.0, 129.0):
+            state = MarketState(spot=spot, rate=0.05)
+            assert price(state, SINGLE, REF) == price_single_barrier(state, SINGLE, REF)
+            assert price(state, CORRIDOR, REF) == price_double_barrier(state, CORRIDOR, REF)
+
+    def test_calls_the_pricer_bound_at_call_time(self, monkeypatch):
+        # a replaced module-level pricer is what `price` and `price_curve` call
+        marked = PriceResult(-1.0)
+        monkeypatch.setattr("vasicek_barrier.pricer.price_double_barrier",
+                            lambda *a, **k: marked)
+        state = MarketState(spot=110.0, rate=0.05)
+        assert price(state, CORRIDOR, REF) is marked
+        assert price(state, SINGLE, REF).price > 0.0
+        assert np.all(price_curve([105.0, 110.0], CORRIDOR, REF).prices == -1.0)
 
 
 class TestLogForward:
@@ -212,10 +234,15 @@ class TestPriceCurve:
             assert np.all(curve.prices >= 0.0)
 
     def test_per_row_error_capture(self):
-        starved = SeriesTruncation(max_terms=1)
-        curve = price_curve(np.array([105.0, 110.0]), CORRIDOR, REF, trunc=starved)
-        assert all(e is not None and "SeriesTruncationError" in e for e in curve.errors)
+        # total variance 1e-18: the corridor series cannot converge within its
+        # mode budget, which is a ValueError recorded per row
+        frozen = replace(REF, sigma1=1e-9, sigma2=0.0)
+        corridor = OptionSpec.double(100.0, 1.0, 4.6, 4.87)
+        curve = price_curve(np.array([105.0, 110.0]), corridor, frozen)
+        assert all(e is not None and "SeriesTruncationError" in e and "100000 modes" in e
+                   for e in curve.errors)
         assert np.all(np.isnan(curve.prices))
+        assert issubclass(SeriesTruncationError, ValueError)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

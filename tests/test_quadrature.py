@@ -74,3 +74,27 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_panels=0)
+
+
+def test_non_finite_integrand_fails_fast():
+    calls = []
+
+    def nan_everywhere(x):
+        calls.append(x.size)
+        return np.full_like(x, np.nan)
+
+    with pytest.raises(QuadratureError, match=r"not finite on the panel \[0\.0, 2\.0\]"):
+        integrate(nan_everywhere, 0.0, 2.0)
+    assert len(calls) <= 3
+
+
+def test_infinite_on_part_of_the_domain_fails_fast():
+    calls = []
+
+    def blows_up_past_one_and_a_half(x):
+        calls.append(x.size)
+        return np.where(x > 1.5, np.inf, x)
+
+    with pytest.raises(QuadratureError, match="not finite on the panel"):
+        integrate(blows_up_past_one_and_a_half, 0.0, 2.0)
+    assert len(calls) <= 3
