@@ -18,18 +18,24 @@ the per-block streams, the buffers, the knock monitor (`_Walls.knock`), the
 payoff (`_payoff_stats`) and the reduction.
 
 Barrier monitoring is either ``discrete`` (grid points only) or
-``bridge_corrected`` (additionally knocking out between grid points with the
-Brownian-bridge crossing probability; the two-sided corridor version uses the
-reflection series truncated at images |k| <= 10).
+``bridge_corrected``.  Both knock a path out when a grid point touches a
+wall.  The bridge correction then weights each surviving path's payoff by
+its survival probability between grid points, prod_j (1 - p_j) with p_j the
+Brownian-bridge crossing probability of step j; for the corridor, 1 - p_j is
+the reflection series truncated at images |k| <= 10 (Glasserman 2004, §6.4).
+This is unbiased, draws no uniforms and has a lower variance than knocking
+out with probability p_j.  p_j is evaluated only on steps near a wall
+(`_weigh_near_walls`); on every other step 1 - p_j rounds to exactly 1.0.
 
 Determinism contract: paths are generated in fixed blocks of 2**11 using the
-counter-based Philox generator keyed by (seed, block index), and draws within
-a block are laid out path-major with normals before uniforms, so the random
-numbers consumed by (path i, step j) depend only on the seed.  Blocks run on
-one thread per usable core, at most one per block (`_workers`).  Each block's
-partial sums are kept by block index and combined in block order with
-pairwise summation, so estimates are bit-identical across runs and across
-thread counts for identical (seed, n_paths, n_steps).
+SFC64 generator keyed by (seed, block index), and each block draws only
+normals, laid out path-major, so the random numbers consumed by (path i,
+step j) depend only on the seed.  Each path's weight is a function of its
+own path.  Blocks run on one thread per usable core, at most one per block
+(`_workers`).  Each block's partial sums are kept by block index and
+combined in block order with pairwise summation, so estimates are
+bit-identical across runs and across thread counts for identical
+(seed, n_paths, n_steps).
 
 The inner loops write into buffers that each thread allocates once; at the
 default resolution one array is 8 MB (2**11 paths x 512 steps), and avoiding
@@ -54,6 +60,9 @@ DISCRETE = "discrete"
 
 _BLOCK = 1 << 11
 _BRIDGE_IMAGES = 10  # reflection images on each side in the corridor series
+# A bridge step is evaluated only where its crossing series can exceed
+# exp(-_SCREEN): exp(-40) < 2**-57, so elsewhere 1 - p rounds to exactly 1.0.
+_SCREEN = 40.0
 # exp() underflows to zero below roughly -745; provably smaller series terms
 # are skipped without changing the float64 sum.
 _EXP_UNDERFLOW = -750.0
@@ -102,7 +111,7 @@ class MCEstimate:
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed % 2**64, index])))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed % 2**64, index])))
 
 
 def _blocks(n_paths: int):
@@ -127,19 +136,27 @@ class _Buffers:
     """Block scratch arrays by name, each allocated once at full block size.
 
     ``buf(name, m)`` returns the first m rows of a (rows, n_steps + extra)
-    array, so a partial final block reuses the same memory.
+    array, and ``buf.column(name, m)`` the first m entries of a (rows,)
+    vector, so a partial final block reuses the same memory.
     """
 
     def __init__(self, rows: int, n_steps: int):
         self._shape = (rows, n_steps)
         self._arrays: dict[str, np.ndarray] = {}
 
-    def __call__(self, name: str, m: int, extra: int = 0, dtype=float) -> np.ndarray:
+    def _array(self, name: str, shape: tuple) -> np.ndarray:
         a = self._arrays.get(name)
         if a is None:
-            rows, n = self._shape
-            a = self._arrays[name] = np.empty((rows, n + extra), dtype=dtype)
-        return a[:m]
+            a = self._arrays[name] = np.empty(shape)
+        return a
+
+    def __call__(self, name: str, m: int, extra: int = 0) -> np.ndarray:
+        rows, n = self._shape
+        return self._array(name, (rows, n + extra))[:m]
+
+    def column(self, name: str, m: int) -> np.ndarray:
+        """The first m entries of a vector with one entry per row."""
+        return self._array(name, (self._shape[0],))[:m]
 
 
 def _workers(n_blocks: int) -> int:
@@ -156,11 +173,12 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
     """Run every block through ``build``, the knock monitor and the payoff.
 
     ``build(rng, buf, m)`` draws one block's normals from ``rng`` into
-    buffers taken from ``buf`` and returns (x, d, log_pay, scale): the
-    monitored log-forward paths (m, n+1) and their increments (None where
-    unused), the log of the payoff variable at maturity, and the per-path
-    or common discount factor.  Paths pay (e^log_pay - strike)^+ * scale
-    unless ``walls`` knocks them out; with no walls nothing is monitored.
+    buffers taken from ``buf`` and returns (x, log_pay, scale): the
+    monitored log-forward paths (m, n+1), the log of the payoff variable at
+    maturity, and the per-path or common discount factor.  Paths pay
+    (e^log_pay - strike)^+ * scale, times their bridge survival weight, and
+    0 where ``walls`` knocks them out on the grid; with no walls nothing is
+    monitored.
 
     Blocks run on `_workers` threads, each with its own buffers; numpy
     releases the interpreter lock inside its fills and ufuncs.  The
@@ -178,8 +196,12 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
         if not hasattr(local, "buf"):
             local.buf = _Buffers(rows, n)
         rng = _block_rng(cfg.seed, index)
-        x, d, log_pay, scale = build(rng, local.buf, m)
-        knocked = None if walls is None else walls.knock(x, d, rng, local.buf, m)
+        x, log_pay, scale = build(rng, local.buf, m)
+        if walls is None:
+            return _payoff_stats(log_pay, strike, None, scale)
+        knocked, weight = walls.knock(x, local.buf, m)
+        if weight is not None:
+            scale = np.multiply(weight, scale, out=weight)
         return _payoff_stats(log_pay, strike, knocked, scale)
 
     pool = ThreadPoolExecutor(_workers(len(blocks)))
@@ -237,33 +259,59 @@ def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimat
         z, r, work = buf("z", m), buf("r", m, 1), buf("work", m)
         rng.standard_normal(out=z)
         _ou_paths_into(r, z, work, r0, dt, p)
-        return None, None, _log_discount(r, dt), 1.0
+        return None, _log_discount(r, dt), 1.0
     return _simulate(cfg, n, build, 0.0)
 
 
-def _single_bridge_knockout(x, upper, neg2_inv_v, rng, t, u, kb):
-    """Knock mask with bridge correction for an upper barrier.
+def _weigh_near_walls(x, gap, knocked, inv_v, w, dist, stay):
+    """Fill w with each path's bridge survival weight: 0 if knocked, else prod_j stay_j.
 
-    The crossing probability exp(-2*(B-x_l)*(B-x_r)/v) is clipped at one, so
-    any step whose right endpoint breaches the barrier is knocked with
-    certainty and no separate grid check is needed.  ``u`` doubles as scratch
-    until the uniforms are drawn into it.
+    ``stay(left, right, inv_v)`` returns 1 - p_j of the steps it is given,
+    as 1-D arrays.  It is called only on the steps near a wall.  A step
+    whose endpoints lie at distances a, b from the nearer wall (``dist``)
+    has every term of its crossing series at most exp(-2 a b / v); below
+    exp(-_SCREEN) its 1 - p_j rounds to exactly 1.0, so it is skipped.
+    Rows whose closest approach ``gap`` to a wall, over every point, is at
+    least sqrt(_SCREEN/2 * max v) hold no other step.
     """
-    np.subtract(upper, x[:, :-1], out=u)
-    np.subtract(upper, x[:, 1:], out=t)
-    np.multiply(t, u, out=t)
-    np.multiply(t, neg2_inv_v, out=t)
-    np.clip(t, _EXP_FLOOR, 0.0, out=t)
-    np.exp(t, out=t)
-    rng.random(out=u)
-    np.less(u, t, out=kb)
-    return kb.any(axis=1)
+    np.subtract(1.0, knocked, out=w)
+    reach = math.sqrt(0.5 * _SCREEN / float(inv_v.min()))
+    rows = np.flatnonzero(~knocked & (gap < reach))
+    near = x[rows]
+    a = dist(near)
+    i, j = np.nonzero(a[:, :-1] * a[:, 1:] * inv_v < 0.5 * _SCREEN)
+    if i.size:
+        factors = stay(near[i, j], near[i, j + 1], inv_v[j])
+        rows = rows[i]  # one entry per step, in row order
+        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        w[rows[starts]] *= np.multiply.reduceat(factors, starts)
 
 
-def _corridor_stay_prob_into(acc, x, d, lower, upper, inv_v, t, t2):
-    """Fill acc with per-step bridge stay probabilities inside a corridor.
+def _single_bridge_knockout(x, upper, inv_v, w):
+    """Grid knock mask for an upper barrier; the bridge survival weights go to w.
 
-    Reflection series over images |k| <= _BRIDGE_IMAGES:
+    w gets prod_j (1 - p_j) per path, where p_j = exp(-2 (B - x_j)(B - x_{j+1}) / v_j)
+    is the Brownian-bridge crossing probability of step j, and 0 on the paths
+    knocked out on the grid (`_weigh_near_walls`).
+    """
+    top = x[:, 1:].max(axis=1)
+    knocked = top >= upper
+
+    def stay(left, right, iv):
+        t = (upper - left) * (upper - right) * (-2.0 * iv)
+        np.clip(t, _EXP_FLOOR, 0.0, out=t)
+        np.exp(t, out=t)
+        return np.subtract(1.0, t, out=t)
+    _weigh_near_walls(x, upper - np.maximum(top, x[:, 0]), knocked, inv_v, w,
+                      lambda y: upper - y, stay)
+    return knocked
+
+
+def _corridor_stay_prob_into(acc, left, right, lower, upper, inv_v):
+    """Fill acc with the bridge stay probabilities of steps inside a corridor.
+
+    The steps run from ``left`` to ``right`` with reciprocal variances
+    ``inv_v``, all 1-D.  Reflection series over images |k| <= _BRIDGE_IMAGES:
     sum_k exp(-2 kL (kL + d)/v) - exp(-2 (kL + a)(kL + b)/v) with
     a, b the endpoint distances to the lower wall and d = b - a the step
     increment.  Exponents are clipped at zero; the result is meaningful only
@@ -273,6 +321,8 @@ def _corridor_stay_prob_into(acc, x, d, lower, upper, inv_v, t, t2):
     """
     width = upper - lower
     vmax = 1.0 / float(np.min(inv_v))
+    d = right - left
+    t, t2 = np.empty_like(acc), np.empty_like(acc)
     acc.fill(0.0)
     for k in range(-_BRIDGE_IMAGES, _BRIDGE_IMAGES + 1):
         kl = k * width
@@ -287,8 +337,8 @@ def _corridor_stay_prob_into(acc, x, d, lower, upper, inv_v, t, t2):
             np.add(acc, t, out=acc)
         if -2.0 * (abs(k) - 1.0) * max(abs(k) - 1.0, 1.0) * width * width / vmax \
                 >= _EXP_UNDERFLOW or k == 0:
-            np.add(x[:, :-1], kl - lower, out=t)
-            np.add(x[:, 1:], kl - lower, out=t2)
+            np.add(left, kl - lower, out=t)
+            np.add(right, kl - lower, out=t2)
             np.multiply(t, t2, out=t)
             np.multiply(t, inv_v, out=t)
             np.multiply(t, -2.0, out=t)
@@ -298,17 +348,26 @@ def _corridor_stay_prob_into(acc, x, d, lower, upper, inv_v, t, t2):
     np.clip(acc, 0.0, 1.0, out=acc)
 
 
-def _double_bridge_knockout(x, d, lower, upper, inv_v, rng, acc, t, t2, u, kb):
-    """Knock mask with two-sided bridge correction for a corridor."""
-    outside = np.less_equal(x[:, 1:], lower, out=kb)
-    knocked = outside.any(axis=1)
-    np.greater_equal(x[:, 1:], upper, out=kb)
-    knocked |= kb.any(axis=1)
-    _corridor_stay_prob_into(acc, x, d, lower, upper, inv_v, t, t2)
-    np.subtract(1.0, acc, out=acc)
-    rng.random(out=u)
-    np.less(u, acc, out=kb)
-    return knocked | kb.any(axis=1)
+def _double_bridge_knockout(x, lower, upper, inv_v, w):
+    """Grid knock mask for a corridor; the bridge survival weights go to w.
+
+    w gets the product over steps of the corridor stay probability
+    (`_corridor_stay_prob_into`), and 0 on the paths knocked out on the
+    grid (`_weigh_near_walls`).
+    """
+    bottom = x[:, 1:].min(axis=1)
+    top = x[:, 1:].max(axis=1)
+    knocked = (bottom <= lower) | (top >= upper)
+    gap = np.minimum(np.minimum(bottom, x[:, 0]) - lower,
+                     upper - np.maximum(top, x[:, 0]))
+
+    def stay(left, right, iv):
+        acc = np.empty_like(left)
+        _corridor_stay_prob_into(acc, left, right, lower, upper, iv)
+        return acc
+    _weigh_near_walls(x, gap, knocked, inv_v, w,
+                      lambda y: np.minimum(y - lower, upper - y), stay)
+    return knocked
 
 
 @dataclass(frozen=True)
@@ -324,26 +383,22 @@ class _Walls:
     inv_v: np.ndarray
     bridge: bool
 
-    @property
-    def needs_increments(self) -> bool:
-        """Whether `knock` reads the step increments ``d``."""
-        return self.lower > -math.inf and self.bridge
+    def knock(self, x, buf, m):
+        """(knocked, weights) of the m paths in x.
 
-    def knock(self, x, d, rng, buf, m):
-        """Mask of the m paths in x that the walls knock out."""
-        kb = buf("kb", m, dtype=bool)
+        ``knocked`` masks the paths knocked out on the grid; ``weights``
+        holds each path's bridge survival weight, or is None for discrete
+        monitoring.
+        """
+        if not self.bridge:
+            knocked = x[:, 1:].max(axis=1) >= self.upper
+            if self.lower > -math.inf:
+                knocked |= x[:, 1:].min(axis=1) <= self.lower
+            return knocked, None
+        w = buf.column("w", m)
         if self.lower == -math.inf:
-            if self.bridge:
-                return _single_bridge_knockout(x, self.upper, -2.0 * self.inv_v, rng,
-                                               buf("t", m), buf("u", m), kb)
-            return np.greater_equal(x[:, 1:], self.upper, out=kb).any(axis=1)
-        if self.bridge:
-            return _double_bridge_knockout(x, d, self.lower, self.upper, self.inv_v, rng,
-                                           buf("acc", m), buf("t", m), buf("t2", m),
-                                           buf("u", m), kb)
-        knocked = np.less_equal(x[:, 1:], self.lower, out=kb).any(axis=1)
-        knocked |= np.greater_equal(x[:, 1:], self.upper, out=kb).any(axis=1)
-        return knocked
+            return _single_bridge_knockout(x, self.upper, self.inv_v, w), w
+        return _double_bridge_knockout(x, self.lower, self.upper, self.inv_v, w), w
 
 
 def _payoff_stats(x_final, strike, knocked, scale):
@@ -361,7 +416,7 @@ def _option_mc(state: MarketState, spec: OptionSpec, p: VasicekParams, cfg: MCCo
                paths) -> MCEstimate:
     """The alive check, grid and walls that both option estimators share.
 
-    ``paths(x0, grid, v, walls)`` returns the estimator's block builder for
+    ``paths(x0, grid, v)`` returns the estimator's block builder for
     `_simulate`, given the start x0 of the log forward, the time grid and
     its per-step forward variances v.  A start outside the barrier region
     returns the knocked-out estimate (0, 0).
@@ -374,7 +429,7 @@ def _option_mc(state: MarketState, spec: OptionSpec, p: VasicekParams, cfg: MCCo
     grid = np.linspace(state.time, spec.maturity, n + 1)
     v = integrated_variance(grid[:-1], grid[1:], spec.maturity, p)
     walls = _Walls(lower, upper, 1.0 / v, cfg.monitoring == BRIDGE)
-    return _simulate(cfg, n, paths(x0, grid, v, walls), spec.strike, walls)
+    return _simulate(cfg, n, paths(x0, grid, v), spec.strike, walls)
 
 
 def price_barrier_mc(state: MarketState, spec: OptionSpec, p: VasicekParams,
@@ -387,7 +442,7 @@ def price_barrier_mc(state: MarketState, spec: OptionSpec, p: VasicekParams,
     the bond price.  A start outside the barrier region returns the
     knocked-out estimate (0, 0).
     """
-    def forward_paths(x0, grid, v, walls):
+    def forward_paths(x0, grid, v):
         disc = bond_price(state.rate, state.time, spec.maturity, p)
         sd = np.sqrt(v)
 
@@ -399,7 +454,7 @@ def price_barrier_mc(state: MarketState, spec: OptionSpec, p: VasicekParams,
             np.cumsum(z, axis=1, out=x[:, 1:])
             x[:, 1:] += x0
             x[:, 0] = x0
-            return x, z, x[:, -1], disc
+            return x, x[:, -1], disc
         return build
     return _option_mc(state, spec, p, cfg, forward_paths)
 
@@ -410,12 +465,12 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
 
     Euler steps for ln S with drift r - sigma1^2/2, exact OU transitions for
     r with per-step correlation rho, discounting by the trapezoidal rate
-    integral.  The barrier is monitored on the log forward
-    ln(S_t / P(r_t, t; tau)), with the same per-step bridge correction as
-    the forward-measure estimator (the forward's instantaneous variance is
-    the same under both measures).
+    integral; the drift integrates r by the same trapezoid rule.  The
+    barrier is monitored on the log forward ln(S_t / P(r_t, t; tau)), with
+    the same per-step bridge correction as the forward-measure estimator
+    (the forward's instantaneous variance is the same under both measures).
     """
-    def joint_paths(x0, grid, v, walls):
+    def joint_paths(x0, grid, v):
         tau = spec.maturity
         dt = (tau - state.time) / (grid.size - 1)
         log_a = log_bond_price(0.0, grid, tau, p)  # log A: the log bond price at r = 0
@@ -433,9 +488,12 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
             np.add(z2, work, out=z2)
             _ou_paths_into(r, z2, work, state.rate, dt, p)
             disc_path = np.exp(_log_discount(r, dt))
-            # Euler log-stock increments: (r_j - s1^2/2) dt + s1 sqrt(dt) Z1
+            # Euler log-stock increments: ((r_j + r_{j+1})/2 - s1^2/2) dt + s1 sqrt(dt) Z1;
+            # the rate term cancels the path discount's, so the discounted
+            # stock is an exact martingale
             np.multiply(z1, p.sigma1 * math.sqrt(dt), out=z1)
-            np.multiply(r[:, :-1], dt, out=work)
+            np.add(r[:, :-1], r[:, 1:], out=work)
+            np.multiply(work, 0.5 * dt, out=work)
             np.add(z1, work, out=z1)
             z1 -= 0.5 * p.sigma1**2 * dt
             np.cumsum(z1, axis=1, out=x[:, 1:])
@@ -446,7 +504,6 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
             np.multiply(r, b_fac, out=r)   # r now holds r*B; r itself is done with
             x += r
             x -= log_a
-            d = np.subtract(x[:, 1:], x[:, :-1], out=z2) if walls.needs_increments else None
-            return x, d, log_s_final, disc_path
+            return x, log_s_final, disc_path
         return build
     return _option_mc(state, spec, p, cfg, joint_paths)

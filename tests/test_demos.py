@@ -1,8 +1,7 @@
-"""Each quick demo runs to completion against the current public API.
+"""Each demo runs to completion against the current public API.
 
 The demos import names that no test imports the same way, so a renamed or
-deleted name could break one unseen.  `monte_carlo_verification.py` is left
-out: it simulates at full scale and takes tens of seconds.
+deleted name could break one unseen.
 """
 
 import os
@@ -17,7 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", ["barrier_pricing_curves.py",
                                   "bond_and_forward_volatility.py",
-                                  "kernel_gallery.py"])
+                                  "kernel_gallery.py",
+                                  "monte_carlo_verification.py"])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

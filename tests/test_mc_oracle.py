@@ -182,6 +182,126 @@ class TestMonitoring:
         assert means[0] <= means[1] <= means[2]
 
 
+def dense_weights(x, lower, upper, inv_v):
+    """Bridge survival weights from every step of every row of x.
+
+    The reference for the monitor, which evaluates only the steps near a
+    wall.  Each factor is computed in the monitor's order of operations, so
+    the two differ only in the order of each row's product.
+    """
+    left, right = x[:, :-1], x[:, 1:]
+    knocked = (right >= upper).any(axis=1) | (right <= lower).any(axis=1)
+    if lower == -math.inf:
+        t = (upper - left) * (upper - right) * (-2.0 * inv_v)
+        factors = 1.0 - np.exp(np.clip(t, -700.0, 0.0))
+    else:
+        width, d = upper - lower, right - left
+        factors = np.zeros_like(left)
+        for k in range(-10, 11):
+            kl = k * width
+            if k == 0:
+                factors += 1.0
+            else:
+                factors += np.exp(np.clip((d + kl) * inv_v * (-2.0 * kl), -700.0, 0.0))
+            image = (left + (kl - lower)) * (right + (kl - lower)) * inv_v * -2.0
+            factors -= np.exp(np.clip(image, -700.0, 0.0))
+        np.clip(factors, 0.0, 1.0, out=factors)
+    return np.where(knocked, 0.0, factors.prod(axis=1))
+
+
+def record_monitor(monkeypatch):
+    """Record (x, lower, upper, inv_v, weights, mask) of every bridge-monitored block."""
+    blocks = []
+    for name in ("_single_bridge_knockout", "_double_bridge_knockout"):
+        def recording(x, *args, monitor=getattr(mc_oracle, name)):
+            knocked = monitor(x, *args)
+            *walls, inv_v, w = args
+            lower, upper = walls if len(walls) == 2 else (-math.inf, walls[0])
+            blocks.append((x.copy(), lower, upper, inv_v, w.copy(), knocked.copy()))
+            return knocked
+        monkeypatch.setattr(mc_oracle, name, recording)
+    return blocks
+
+
+class TestBridgeScreen:
+    # the benchmark's quarter-year maturity; every spot starts inside both
+    # barrier regions, and spots 90 and 125 start within sqrt(20 max v) of a
+    # wall at 512 steps per year
+    SPECS = {"single": OptionSpec.single_up(100.0, 0.25, B_UP),
+             "corridor": OptionSpec.double(100.0, 0.25, math.log(90.0), B_UP)}
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    @pytest.mark.parametrize("steps", [32, 512])
+    def test_screened_weights_match_the_dense_monitor(self, kind, steps, monkeypatch):
+        blocks = record_monitor(monkeypatch)
+        spec = self.SPECS[kind]
+        cfg = MCConfig(n_paths=mc_oracle._BLOCK + 300, n_steps=steps, seed=53)
+        for spot in (90.0, 110.0, 120.0, 125.0):
+            state = MarketState(spot=spot, rate=0.05)
+            price_barrier_mc(state, spec, REF, cfg)
+            price_barrier_mc_two_factor(state, spec, REF, cfg)
+        assert len(blocks) == 4 * 2 * 2
+        near_start = 0
+        for x, lower, upper, inv_v, w, knocked in blocks:
+            reach = math.sqrt(20.0 / inv_v.min())
+            near_start += min(x[0, 0] - lower, upper - x[0, 0]) < reach
+            assert np.all((w >= 0.0) & (w <= 1.0))
+            assert np.all(w[knocked] == 0.0)
+            np.testing.assert_allclose(w, dense_weights(x, lower, upper, inv_v),
+                                       rtol=1e-14, atol=0.0)
+            assert np.any((w > 0.0) & (w < 1.0))  # some paths do pass near a wall
+        assert near_start >= 2 * 2
+
+    @pytest.mark.parametrize("lower", [-math.inf, B_LOW])
+    def test_a_start_near_a_wall_is_monitored(self, lower):
+        # only the start lies within reach of the upper wall: the first step
+        # still carries a crossing probability
+        inv_v = np.full(4, 1e4)
+        x = np.full((2, 5), B_UP - 0.1)
+        x[0, 0] = B_UP - 1e-3
+        w = np.empty(2)
+        if lower == -math.inf:
+            knocked = mc_oracle._single_bridge_knockout(x, B_UP, inv_v, w)
+        else:
+            knocked = mc_oracle._double_bridge_knockout(x, lower, B_UP, inv_v, w)
+        assert not knocked.any()
+        assert w[0] < 1.0 and w[1] == 1.0
+        np.testing.assert_allclose(w, dense_weights(x, lower, B_UP, inv_v),
+                                   rtol=1e-14, atol=0.0)
+
+
+class TestMonitorContract:
+    def test_bridge_monitoring_draws_only_normals(self, monkeypatch):
+        used = set()
+
+        class Recording:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def __getattr__(self, name):
+                used.add(name)
+                return getattr(self._gen, name)
+        block_rng = mc_oracle._block_rng
+        monkeypatch.setattr(mc_oracle, "_block_rng",
+                            lambda seed, index: Recording(block_rng(seed, index)))
+        cfg = MCConfig(n_paths=mc_oracle._BLOCK + 77, n_steps=32, seed=3)
+        for estimate in ESTIMATORS.values():
+            estimate(cfg)
+        assert used == {"standard_normal"}
+
+    def test_a_monitor_that_knocks_every_path_zeroes_the_corridor(self, monkeypatch):
+        # the benchmark's over-knocking control: the returned mask, not the
+        # weights, decides which paths pay nothing
+        knockout = mc_oracle._double_bridge_knockout
+        monkeypatch.setattr(mc_oracle, "_double_bridge_knockout",
+                            lambda *args: knockout(*args) | True)
+        cfg = MCConfig(n_paths=mc_oracle._BLOCK + 77, n_steps=32, seed=3)
+        for estimator in ("forward-corridor", "two-factor-corridor"):
+            est = ESTIMATORS[estimator](cfg)
+            assert (est.mean, est.std_error) == (0.0, 0.0)
+        assert ESTIMATORS["forward-single"](cfg).mean > 0.0
+
+
 class TestStdErrorScaling:
     def test_inverse_sqrt_paths(self):
         ses = []
@@ -200,6 +320,15 @@ class TestTwoFactorMC:
                                             1.0, dividend_yield=0.05)
         est = price_barrier_mc_two_factor(STATE, SINGLE, p, MCConfig(200_000, 512, 31))
         assert z_score(est, ref) <= 3.0
+
+    def test_near_deterministic_model_prices_without_bias(self):
+        # with sigma1 = 1e-9 and sigma2 = 0 the estimate is the discounted
+        # stock less K times the path discount; drift and discount integrate
+        # the rate by the same rule, so only the discount's O(dt^2) error is left
+        p = VasicekParams(a=1.0, theta=0.04, sigma1=1e-9, sigma2=0.0, rho=0.5, r0=0.05)
+        est = price_barrier_mc_two_factor(STATE, SINGLE, p, MCConfig(1000, 512, 1))
+        ana = price_single_barrier(STATE, SINGLE, p).price
+        assert abs(est.mean - ana) <= 1e-6 * ana
 
     def test_agrees_with_forward_measure_oracle(self):
         cfg = MCConfig(200_000, 512, 37)
