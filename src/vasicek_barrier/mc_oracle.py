@@ -27,9 +27,20 @@ This is unbiased, draws no uniforms and has a lower variance than knocking
 out with probability p_j.  p_j is evaluated only on steps near a wall
 (`_weigh_near_walls`); on every other step 1 - p_j rounds to exactly 1.0.
 
+Antithetic pairs: a block of m paths draws normals for its first
+h = ceil(m/2) paths only, and path h + i replays path i with every normal
+negated (`_antithetic_normals`; the two-factor estimator mirrors both of its
+normal sets on the same rows).  The mean is taken over all paths; the
+standard error over units, each pair (i, h + i) one unit and the unpaired
+row h - 1 of an odd block a unit of its own (`_payoff_stats`, `_reduce`).
+With only pairs it is the sample standard deviation of the pair means over
+the square root of the number of pairs.  Pairs are unbiased and halve the
+draws (Glasserman 2004, §4.2).
+
 Determinism contract: paths are generated in fixed blocks of 2**11 using the
-SFC64 generator keyed by (seed, block index), and each block draws only
-normals, laid out path-major, so the random numbers consumed by (path i,
+SFC64 generator keyed by (seed, block index).  Each block draws only
+normals, for its first h rows, laid out path-major, and row h + i is
+bitwise the negation of row i, so the random numbers consumed by (path i,
 step j) depend only on the seed.  Each path's weight is a function of its
 own path.  Blocks run on one thread per usable core, at most one per block
 (`_workers`).  Each block's partial sums are kept by block index and
@@ -123,12 +134,33 @@ def _blocks(n_paths: int):
         index += 1
 
 
-def _reduce(sums: list, sqsums: list, n: int, n_steps: int, seed: int) -> MCEstimate:
-    s1 = float(np.sum(np.asarray(sums)))
-    s2 = float(np.sum(np.asarray(sqsums)))
-    mean = s1 / n
-    var = max(s2 - n * mean * mean, 0.0) / (n - 1) if n > 1 else 0.0
-    return MCEstimate(mean=mean, std_error=math.sqrt(var / n), n_paths=n,
+def _antithetic_normals(rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
+    """Fill z (m, n) with normals drawn for its first ceil(m/2) rows; row h + i = -row i."""
+    m = z.shape[0]
+    h = m - m // 2
+    rng.standard_normal(out=z[:h])
+    np.negative(z[:m - h], out=z[h:])
+    return z
+
+
+def _reduce(stats: list, sizes: np.ndarray, n_steps: int, seed: int) -> MCEstimate:
+    """Combine per-block `_payoff_stats` in block order into the estimate.
+
+    The variance of the mean is the cluster estimator over the units of
+    `_payoff_stats`: K / (K - 1) * sum_k (U_k - n_k mean)^2 / n^2 for K units
+    of payoff total U_k and size n_k.  Each block's moments about its own
+    mean are shifted to the overall mean (Chan, Golub & LeVeque 1983), which
+    avoids the cancellation of a raw sum of squares.
+    """
+    sums, dev2, dev1 = (np.asarray(column) for column in zip(*stats))
+    n = int(sizes.sum())
+    mean = float(np.sum(sums)) / n
+    shift = sums / sizes - mean
+    size2 = 2 * sizes - sizes % 2  # sum_k n_k^2: pairs, and one single if m is odd
+    dev = float(np.sum(dev2 + shift * (2.0 * dev1 + shift * size2)))
+    units = int(np.sum(sizes - sizes // 2))
+    var = dev / (units - 1) * units / n / n if units > 1 else 0.0
+    return MCEstimate(mean=mean, std_error=math.sqrt(var), n_paths=n,
                       n_steps=n_steps, seed=seed)
 
 
@@ -172,18 +204,19 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
               walls: _Walls | None = None) -> MCEstimate:
     """Run every block through ``build``, the knock monitor and the payoff.
 
-    ``build(rng, buf, m)`` draws one block's normals from ``rng`` into
-    buffers taken from ``buf`` and returns (x, log_pay, scale): the
-    monitored log-forward paths (m, n+1), the log of the payoff variable at
-    maturity, and the per-path or common discount factor.  Paths pay
+    ``build(rng, buf, m)`` draws one block's antithetic normals from ``rng``
+    (`_antithetic_normals`) into buffers taken from ``buf`` and returns
+    (x, log_pay, scale): the monitored log-forward paths (m, n+1), the log
+    of the payoff variable at maturity, and the per-path or common discount
+    factor.  Paths pay
     (e^log_pay - strike)^+ * scale, times their bridge survival weight, and
     0 where ``walls`` knocks them out on the grid; with no walls nothing is
     monitored.
 
     Blocks run on `_workers` threads, each with its own buffers; numpy
     releases the interpreter lock inside its fills and ufuncs.  The
-    per-block (sum, sqsum) pairs are reduced in block order, so the
-    estimate does not depend on the thread count.
+    per-block payoff moments are reduced in block order, so the estimate
+    does not depend on the thread count.
     """
     from concurrent.futures import ThreadPoolExecutor  # ~11 ms, so not at import
 
@@ -206,10 +239,10 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
 
     pool = ThreadPoolExecutor(_workers(len(blocks)))
     try:
-        sums, sqsums = zip(*pool.map(run, blocks))
+        stats = list(pool.map(run, blocks))
     finally:  # on an error or an interrupt, drop the blocks not yet started
         pool.shutdown(cancel_futures=True)
-    return _reduce(sums, sqsums, cfg.n_paths, n, cfg.seed)
+    return _reduce(stats, np.array([m for _, m in blocks]), n, cfg.seed)
 
 
 def _ou_step_coeffs(dt: float, p: VasicekParams) -> tuple[float, float]:
@@ -256,8 +289,7 @@ def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimat
     dt = tau / n
 
     def build(rng, buf, m):
-        z, r, work = buf("z", m), buf("r", m, 1), buf("work", m)
-        rng.standard_normal(out=z)
+        z, r, work = _antithetic_normals(rng, buf("z", m)), buf("r", m, 1), buf("work", m)
         _ou_paths_into(r, z, work, r0, dt, p)
         return None, _log_discount(r, dt), 1.0
     return _simulate(cfg, n, build, 0.0)
@@ -402,14 +434,30 @@ class _Walls:
 
 
 def _payoff_stats(x_final, strike, knocked, scale):
-    """Sum and sum of squares of (e^x_final - strike)^+ * scale, 0 where knocked."""
+    """Moments of one block's payoffs (e^x_final - strike)^+ * scale, 0 where knocked.
+
+    The block's m paths form units k of U_k total payoff and n_k paths: each
+    antithetic pair (i, h + i), h = ceil(m/2), and for odd m the unpaired row
+    h - 1.  With mu the block's mean payoff, returns the payoff sum,
+    sum_k (U_k - n_k mu)^2 and sum_k n_k (U_k - n_k mu).
+    """
     pay = np.exp(x_final)
     pay -= strike
     np.maximum(pay, 0.0, out=pay)
     if knocked is not None:
         pay[knocked] = 0.0
     pay *= scale
-    return pay.sum(), (pay * pay).sum()
+    m = pay.size
+    h = m - m // 2
+    total = pay.sum()
+    mu = total / m
+    dev = pay[:m - h] + pay[h:]
+    dev -= 2.0 * mu
+    dev2, dev1 = (dev * dev).sum(), 2.0 * dev.sum()
+    if m % 2:
+        single = pay[h - 1] - mu
+        dev2, dev1 = dev2 + single * single, dev1 + single
+    return total, dev2, dev1
 
 
 def _option_mc(state: MarketState, spec: OptionSpec, p: VasicekParams, cfg: MCConfig,
@@ -447,12 +495,11 @@ def price_barrier_mc(state: MarketState, spec: OptionSpec, p: VasicekParams,
         sd = np.sqrt(v)
 
         def build(rng, buf, m):
-            z, x = buf("z", m), buf("x", m, 1)
-            rng.standard_normal(out=z)
+            z, x = _antithetic_normals(rng, buf("z", m)), buf("x", m, 1)
             np.multiply(z, sd, out=z)
             np.subtract(z, 0.5 * v, out=z)  # z now holds the x-increments
+            z[:, 0] += x0  # so the cumulative sum starts from x0
             np.cumsum(z, axis=1, out=x[:, 1:])
-            x[:, 1:] += x0
             x[:, 0] = x0
             return x, x[:, -1], disc
         return build
@@ -473,37 +520,38 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
     def joint_paths(x0, grid, v):
         tau = spec.maturity
         dt = (tau - state.time) / (grid.size - 1)
-        log_a = log_bond_price(0.0, grid, tau, p)  # log A: the log bond price at r = 0
+        # log A (the log bond price at r = 0, so 0 at maturity) plus the Ito
+        # drift s1^2/2 t of ln S, both taken off ln S + r B in one pass
+        shift = log_bond_price(0.0, grid, tau, p) \
+            + 0.5 * p.sigma1**2 * dt * np.arange(grid.size)
         b_fac = b_factor(grid, tau, p.a)
         rho_c = math.sqrt(1.0 - p.rho**2)
         log_s0 = math.log(state.spot)
 
         def build(rng, buf, m):
-            z1, z2, work = buf("z", m), buf("z2", m), buf("work", m)
-            r, x = buf("r", m, 1), buf("x", m, 1)
-            rng.standard_normal(out=z1)
-            rng.standard_normal(out=z2)
+            z1 = _antithetic_normals(rng, buf("z", m))
+            z2 = _antithetic_normals(rng, buf("z2", m))
+            work, r, x = buf("work", m), buf("r", m, 1), buf("x", m, 1)
             np.multiply(z2, rho_c, out=z2)
             np.multiply(z1, p.rho, out=work)
             np.add(z2, work, out=z2)
             _ou_paths_into(r, z2, work, state.rate, dt, p)
             disc_path = np.exp(_log_discount(r, dt))
-            # Euler log-stock increments: ((r_j + r_{j+1})/2 - s1^2/2) dt + s1 sqrt(dt) Z1;
-            # the rate term cancels the path discount's, so the discounted
-            # stock is an exact martingale
+            # Euler log-stock increments: ((r_j + r_{j+1})/2 - s1^2/2) dt + s1 sqrt(dt) Z1,
+            # the drift s1^2/2 dt left to `shift`; the rate term cancels the
+            # path discount's, so the discounted stock is an exact martingale
             np.multiply(z1, p.sigma1 * math.sqrt(dt), out=z1)
             np.add(r[:, :-1], r[:, 1:], out=work)
             np.multiply(work, 0.5 * dt, out=work)
             np.add(z1, work, out=z1)
-            z1 -= 0.5 * p.sigma1**2 * dt
+            z1[:, 0] += log_s0  # so the cumulative sum starts from ln S0
             np.cumsum(z1, axis=1, out=x[:, 1:])
-            x[:, 1:] += log_s0
             x[:, 0] = log_s0
-            log_s_final = x[:, -1].copy()
-            # switch x from log spot to log forward: x = ln S - ln A + r B
+            # switch x to the log forward: x = ln S - ln A + r B
             np.multiply(r, b_fac, out=r)   # r now holds r*B; r itself is done with
             x += r
-            x -= log_a
-            return x, log_s_final, disc_path
+            x -= shift
+            # at maturity B = 0 and shift holds only the drift, so x_T = ln S_T
+            return x, x[:, -1], disc_path
         return build
     return _option_mc(state, spec, p, cfg, joint_paths)

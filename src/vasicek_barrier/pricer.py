@@ -46,6 +46,7 @@ DOUBLE = "double"
 
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp() overflows above this
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -290,6 +291,11 @@ def corridor_call_forward(x: float, strike: float, v: float, lower: float, upper
 
     where at y = u the sine is 0 and the cosine (-1)^n.  ``n_modes`` is the
     mode count of `series_terms`; the caller has checked l < x < u.
+
+    A wide corridor's terms grow like e^{u/2} and cancel in the sum.  The
+    sum's rounding error is bounded by about 4 eps sum_n |term_n|; when that
+    bound exceeds 1e-10 of the value plus 1e-12, a ValueError names the
+    upper wall instead of returning a wrong price.
     """
     width = upper - lower
     n = np.arange(1, n_modes + 1)
@@ -305,8 +311,16 @@ def corridor_call_forward(x: float, strike: float, v: float, lower: float, upper
         return (at_up - at_lo) / (alpha * alpha + pn * pn)
 
     modes = np.exp(-0.5 * v * pn * pn) * np.sin(pn * (x - lower))
-    series = float(modes @ (g(0.5) - strike * g(-0.5)))
-    return 2.0 / width * math.exp(0.5 * x - v / 8.0) * series
+    coeffs = g(0.5) - strike * g(-0.5)
+    scale = 2.0 / width * math.exp(0.5 * x - v / 8.0)
+    value = scale * float(modes @ coeffs)
+    rounding = 4.0 * _EPS * scale * float(np.abs(modes) @ np.abs(coeffs))
+    if not rounding <= 1e-10 * abs(value) + 1e-12:
+        raise ValueError(
+            f"log_barriers[1] = {upper!r}: the corridor's sine series loses its "
+            f"accuracy (rounding bound {rounding:.3g} on a value of {value:.6g}); "
+            f"the corridor is too wide for this series")
+    return value
 
 
 def price_single_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams, *,

@@ -76,6 +76,13 @@ class TestPriceCommand:
         assert len(err.splitlines()) == 1
 
 
+    @pytest.mark.parametrize("upper", ["40", "60", "80", "700"])
+    def test_too_wide_corridor_is_a_pricing_error(self, capsys, upper):
+        code, out, err = run(capsys, "price", "--barrier-low", "4.6", "--barrier-high", upper)
+        assert code == 5 and out == ""
+        assert err.startswith(f"error: log_barriers[1] = {float(upper)!r}: ")
+        assert len(err.splitlines()) == 1
+
 class TestConfigFile:
     def test_file_overrides_defaults_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "job.cfg"

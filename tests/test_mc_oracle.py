@@ -67,11 +67,31 @@ class TestBondMC:
         est = bond_mc(0.05, 1.0, REF, MCConfig(n_paths=200_000, n_steps=512, seed=4))
         assert z_score(est, bond_price(0.05, 0.0, 1.0, REF)) <= 3.0
 
-    def test_step_doubling_within_one_std_error(self):
-        coarse = bond_mc(0.05, 1.0, REF, MCConfig(200_000, 256, 3))
-        fine = bond_mc(0.05, 1.0, REF, MCConfig(200_000, 512, 3))
-        assert abs(fine.mean - coarse.mean) <= math.hypot(coarse.std_error,
-                                                          fine.std_error)
+    @staticmethod
+    def trapezoid_expectation(r0, tau, p, n):
+        """Exact E[exp(-dt w'r)] of the estimator: trapezoid weights w on n steps.
+
+        r on the grid is Gaussian with the OU mean m and covariance C, so the
+        expectation is exp(-dt w'm + dt^2 w'Cw / 2).
+        """
+        dt = tau / n
+        t = np.linspace(0.0, tau, n + 1)
+        w = np.ones(n + 1)
+        w[[0, -1]] = 0.5
+        mean = p.theta + (r0 - p.theta) * np.exp(-p.a * t)
+        cov = p.sigma2**2 / (2.0 * p.a) * (np.exp(-p.a * np.abs(t[:, None] - t[None, :]))
+                                            - np.exp(-p.a * (t[:, None] + t[None, :])))
+        return math.exp(-dt * (w @ mean) + 0.5 * dt * dt * (w @ cov @ w))
+
+    def test_agrees_with_the_exact_trapezoid_expectation(self):
+        # the exact target of each estimate, so the check needs no second
+        # estimate to compare with; the trapezoid rule's own error is
+        # checked against the closed form apart from the sampling
+        exact_512 = self.trapezoid_expectation(0.05, 1.0, REF, 512)
+        assert abs(exact_512 - bond_price(0.05, 0.0, 1.0, REF)) <= 1e-6
+        for steps in (256, 512):
+            est = bond_mc(0.05, 1.0, REF, MCConfig(200_000, steps, 3))
+            assert z_score(est, self.trapezoid_expectation(0.05, 1.0, REF, steps)) <= 3.0
 
 
 class TestDeterminism:
@@ -289,6 +309,40 @@ class TestMonitorContract:
             estimate(cfg)
         assert used == {"standard_normal"}
 
+    @pytest.mark.parametrize("estimator, sets", [("forward-single", 1), ("forward-corridor", 1),
+                                                 ("two-factor-single", 2),
+                                                 ("two-factor-corridor", 2), ("bond", 1)])
+    def test_each_block_draws_half_its_rows_and_mirrors_the_rest(self, estimator, sets,
+                                                                  monkeypatch):
+        draws, mirrored = {}, []
+
+        class Recording:
+            def __init__(self, gen, index):
+                self._gen, self._index = gen, index
+
+            def standard_normal(self, *, out):
+                draws.setdefault(self._index, []).append(out.shape)
+                return self._gen.standard_normal(out=out)
+        block_rng = mc_oracle._block_rng
+        monkeypatch.setattr(mc_oracle, "_block_rng",
+                            lambda seed, index: Recording(block_rng(seed, index), index))
+        antithetic = mc_oracle._antithetic_normals
+
+        def recording(rng, z):
+            mirrored.append(antithetic(rng, z).copy())
+            return z
+        monkeypatch.setattr(mc_oracle, "_antithetic_normals", recording)
+        # a full block and an odd partial one
+        cfg = MCConfig(n_paths=mc_oracle._BLOCK + 77, n_steps=32, seed=3)
+        ESTIMATORS[estimator](cfg)
+        assert draws == {0: [(mc_oracle._BLOCK // 2, 32)] * sets, 1: [(39, 32)] * sets}
+        assert sorted(z.shape[0] for z in mirrored) == [77] * sets + [mc_oracle._BLOCK] * sets
+        for z in mirrored:
+            m, h = z.shape[0], (z.shape[0] + 1) // 2
+            # bitwise: the sign bit flipped and nothing else
+            bits = z.view(np.uint64)
+            assert np.array_equal(bits[h:], bits[:m - h] ^ np.uint64(1 << 63))
+
     def test_a_monitor_that_knocks_every_path_zeroes_the_corridor(self, monkeypatch):
         # the benchmark's over-knocking control: the returned mask, not the
         # weights, decides which paths pay nothing
@@ -300,6 +354,53 @@ class TestMonitorContract:
             est = ESTIMATORS[estimator](cfg)
             assert (est.mean, est.std_error) == (0.0, 0.0)
         assert ESTIMATORS["forward-single"](cfg).mean > 0.0
+
+
+class TestStdErrorOverPairs:
+    @staticmethod
+    def cluster_estimate(blocks):
+        """Mean and standard error from each block's per-path payoffs, by brute force.
+
+        Units are the pairs (i, h + i) of each block, h = ceil(m/2), and the
+        unpaired row h - 1 of an odd block; the variance of the mean is
+        K/(K-1) * sum_k (U_k - n_k mean)^2 / n^2 over K units.
+        """
+        units = []
+        for pay in blocks:
+            m, h = pay.size, (pay.size + 1) // 2
+            units += [(pay[i] + pay[h + i], 2) for i in range(m - h)]
+            if m % 2:
+                units.append((pay[h - 1], 1))
+        n = sum(size for _, size in units)
+        mean = math.fsum(total for total, _ in units) / n
+        k = len(units)
+        if k == 1:
+            return mean, 0.0
+        dev = math.fsum((total - size * mean) ** 2 for total, size in units)
+        return mean, math.sqrt(dev / (k - 1) * k / n / n)
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("n_paths", [1, 2, 3, 2 * mc_oracle._BLOCK + 5])
+    def test_standard_error_matches_the_cluster_estimator(self, estimator, n_paths,
+                                                         monkeypatch):
+        blocks = []
+        payoff_stats = mc_oracle._payoff_stats
+
+        def recording(x_final, strike, knocked, scale):
+            pay = np.maximum(np.exp(x_final) - strike, 0.0)
+            if knocked is not None:
+                pay[knocked] = 0.0
+            blocks.append(pay * scale)
+            return payoff_stats(x_final, strike, knocked, scale)
+        monkeypatch.setattr(mc_oracle, "_payoff_stats", recording)
+        monkeypatch.setattr(mc_oracle, "_workers", lambda n_blocks: 1)  # blocks in order
+        est = ESTIMATORS[estimator](MCConfig(n_paths=n_paths, n_steps=64, seed=47))
+        assert sum(pay.size for pay in blocks) == n_paths
+        mean, std_error = self.cluster_estimate(blocks)
+        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
+        if n_paths > 3:
+            assert est.std_error > 0.0
 
 
 class TestStdErrorScaling:

@@ -203,6 +203,22 @@ class TestDoubleBarrier:
             s = price_single_barrier(state, SINGLE, REF)
             assert d.price == pytest.approx(s.price, rel=1e-6)
 
+    @pytest.mark.parametrize("upper", [40.0, 60.0, 80.0, 700.0])
+    def test_wide_corridor_raises_naming_the_upper_wall(self, upper):
+        # the sine terms grow like e^{upper/2} and cancel: at 80 the sum read
+        # -2388.55 and at 700 -1.19e137 before the rounding bound was checked
+        spec = OptionSpec.double(100.0, 1.0, 4.6, upper)
+        with pytest.raises(ValueError, match=re.escape(f"log_barriers[1] = {upper!r}")
+                           + ".*loses its accuracy"):
+            price_double_barrier(MarketState(spot=110.0, rate=0.05), spec, REF)
+
+    def test_wide_corridor_within_the_rounding_bound_still_prices(self):
+        # an upper wall far above the forward leaves the price where it was
+        state = MarketState(spot=110.0, rate=0.05)
+        wide, narrow = (price_double_barrier(state, OptionSpec.double(100.0, 1.0, 4.6, upper),
+                                             REF).price for upper in (20.0, 12.0))
+        assert wide == pytest.approx(narrow, rel=1e-10)
+
     def test_dominated_by_single_barrier(self):
         for spot in (98.0, 105.0, 112.0, 120.0):
             state = MarketState(spot=spot, rate=0.05)
