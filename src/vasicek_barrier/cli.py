@@ -383,13 +383,21 @@ def _mc_check(analytic: float, est: mc_oracle.MCEstimate,
               payoff_cap: float) -> tuple[bool, str]:
     """Three-sigma consistency of an analytic value with an MC estimate.
 
-    A zero standard error means every sampled path paid the same amount
-    (typically zero survivors at smoke scale); the rule of three then bounds
-    the unobserved event probability by 3/n, and the payoff cap turns that
-    into a bound on the estimator gap.
+    A NaN or infinite estimate or standard error fails as such.  The
+    z-test's scale is the standard error floored at 4 eps |analytic|, the
+    rounding of the two values, so a near-deterministic model whose
+    antithetic pairs cancel its noise is not held to a standard error below
+    float resolution.  A zero standard error means every sampled path paid
+    the same amount (typically zero survivors at smoke scale); the rule of
+    three then bounds the unobserved event probability by 3/n, and the
+    payoff cap turns that into a bound on the estimator gap.
     """
+    if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
+        return False, (f"non-finite estimate: mc {est.mean!r} +- {est.std_error!r} "
+                       f"(analytic {analytic:.6g})")
     if est.std_error > 0.0:
-        z = abs(analytic - est.mean) / est.std_error
+        scale = max(est.std_error, 4.0 * sys.float_info.epsilon * abs(analytic))
+        z = abs(analytic - est.mean) / scale
         return z <= 3.0, (f"|z|={z:.2f} (analytic {analytic:.6g}, "
                           f"mc {est.mean:.6g} +- {est.std_error:.2e})")
     bound = 3.0 / est.n_paths * payoff_cap
@@ -398,11 +406,18 @@ def _mc_check(analytic: float, est: mc_oracle.MCEstimate,
         f"<= rule-of-three bound {bound:.3e}")
 
 
+def _oracle_failure(exc: Exception) -> tuple[bool, str]:
+    """(passed, detail) of a check whose oracle cannot evaluate the inputs."""
+    return False, f"oracle cannot evaluate these inputs: {type(exc).__name__}: {exc}"
+
+
 def _verify_checks(cfg: JobConfig):
     """Yield (name, passed, detail) for each oracle cross-check.
 
     A model that cannot be valued over the maturity (an explosive bond
-    price) raises its ValueError before the first check.
+    price) raises its ValueError before the first check.  An oracle that
+    cannot evaluate the inputs (a corridor kernel past its mode budget, a
+    quadrature past its panel budget) fails its own check by name.
     """
     p = cfg.params
     tau = cfg.maturity
@@ -450,19 +465,22 @@ def _verify_checks(cfg: JobConfig):
             dividend_yield=p.r0)
         denom = max(abs(closed), 1e-12)
         worst = max(worst, abs(ours - closed) / denom)
-    yield ("constant-rate closed-form reduction", worst <= 1e-6,
-           f"max rel={worst:.2e} over 6 spots; checks the bond and variance mapping "
-           f"(the formula is checked against kernel quadrature)")
+    yield ("constant-rate closed-form reduction", worst <= 1e-9,
+           f"max rel={worst:.2e} over 6 spots; holds the production image sum, the bond "
+           f"and the variance mapping to the textbook constant-rate reflection formula")
 
-    worst = 0.0
-    for s in _VERIFY_SPOTS:
-        spot_state = pricer.MarketState(spot=s, rate=p.r0, time=0.0)
-        for option in (single, double):
-            ours = pricer.price(spot_state, option, p).price
-            quad = quad_oracle.price_by_quadrature(spot_state, option, p).price
-            worst = max(worst, abs(ours - quad) / max(abs(quad), 1e-12))
-    yield ("closed form vs kernel quadrature", worst <= 1e-9,
-           f"max rel={worst:.2e} over 6 spots, both barrier kinds")
+    cases = [(pricer.MarketState(spot=s, rate=p.r0, time=0.0), option)
+             for s in _VERIFY_SPOTS for option in (single, double)]
+    ours = [pricer.price(state, option, p).price for state, option in cases]
+    try:
+        quads = [quad_oracle.price_by_quadrature(state, option, p).price
+                 for state, option in cases]
+    except (ValueError, quadrature.QuadratureError) as exc:
+        yield ("closed form vs kernel quadrature", *_oracle_failure(exc))
+    else:
+        worst = max(abs(o - q) / max(abs(q), 1e-12) for o, q in zip(ours, quads))
+        yield ("closed form vs kernel quadrature", worst <= 1e-9,
+               f"max rel={worst:.2e} over 6 spots, both barrier kinds")
 
     # kernel composition: the second factor is evaluated with its arguments
     # swapped via the prefactor symmetry k(z, y) = e^{z-y} k(y, z), which
@@ -472,29 +490,37 @@ def _verify_checks(cfg: JobConfig):
     split = model.integrated_variance(0.0, 0.4 * tau, tau, p)
     upper = cfg.barrier
     worst = 0.0
-    for _ in range(10):
-        x = upper - rng.uniform(0.05, 3.0) * math.sqrt(sig)
-        xp = upper - rng.uniform(0.05, 3.0) * math.sqrt(sig)
-        lo = upper - 12.0 * math.sqrt(sig)
-        val, _ = quadrature.integrate(
-            lambda z: kernels.barrier_kernel(x, z, split, upper)
-            * kernels.barrier_kernel(xp, z, sig - split, upper) * np.exp(z - xp),
-            lo, upper)
-        worst = max(worst, abs(val - kernels.barrier_kernel(x, xp, sig, upper)))
-    yield ("chapman-kolmogorov (single kernel)", worst <= 1e-8,
-           f"max abs={worst:.2e} over 10 pairs")
+    try:
+        for _ in range(10):
+            x = upper - rng.uniform(0.05, 3.0) * math.sqrt(sig)
+            xp = upper - rng.uniform(0.05, 3.0) * math.sqrt(sig)
+            lo = upper - 12.0 * math.sqrt(sig)
+            val, _ = quadrature.integrate(
+                lambda z: kernels.barrier_kernel(x, z, split, upper)
+                * kernels.barrier_kernel(xp, z, sig - split, upper) * np.exp(z - xp),
+                lo, upper)
+            worst = max(worst, abs(val - kernels.barrier_kernel(x, xp, sig, upper)))
+    except (ValueError, quadrature.QuadratureError) as exc:
+        yield ("chapman-kolmogorov (single kernel)", *_oracle_failure(exc))
+    else:
+        yield ("chapman-kolmogorov (single kernel)", worst <= 1e-8,
+               f"max abs={worst:.2e} over 10 pairs")
 
     worst = 0.0
-    for _ in range(10):
-        x = rng.uniform(low + 0.05 * (high - low), high - 0.05 * (high - low))
-        xp = rng.uniform(low + 0.05 * (high - low), high - 0.05 * (high - low))
-        val, _ = quadrature.integrate(
-            lambda z: kernels.double_barrier_kernel(x, z, split, low, high)
-            * kernels.double_barrier_kernel(xp, z, sig - split, low, high)
-            * np.exp(z - xp), low, high)
-        worst = max(worst, abs(val - kernels.double_barrier_kernel(x, xp, sig, low, high)))
-    yield ("chapman-kolmogorov (double kernel)", worst <= 1e-8,
-           f"max abs={worst:.2e} over 10 pairs")
+    try:
+        for _ in range(10):
+            x = rng.uniform(low + 0.05 * (high - low), high - 0.05 * (high - low))
+            xp = rng.uniform(low + 0.05 * (high - low), high - 0.05 * (high - low))
+            val, _ = quadrature.integrate(
+                lambda z: kernels.double_barrier_kernel(x, z, split, low, high)
+                * kernels.double_barrier_kernel(xp, z, sig - split, low, high)
+                * np.exp(z - xp), low, high)
+            worst = max(worst, abs(val - kernels.double_barrier_kernel(x, xp, sig, low, high)))
+    except (ValueError, quadrature.QuadratureError) as exc:
+        yield ("chapman-kolmogorov (double kernel)", *_oracle_failure(exc))
+    else:
+        yield ("chapman-kolmogorov (double kernel)", worst <= 1e-8,
+               f"max abs={worst:.2e} over 10 pairs")
 
 
 def run_verify(cfg: JobConfig) -> int:

@@ -16,17 +16,76 @@ appears: composing any of these kernels over sub-intervals of accumulated
 variance reproduces the kernel at the total variance (Chapman-Kolmogorov), so
 a single evaluation at v = integrated_variance(t, tau) prices the whole path.
 
-These kernels are oracles: the production pricer integrates them in closed
-form, and `quad_oracle` integrates them numerically to check it.  The
-corridor's mode count, `series_terms`, belongs to the pricer and is shared
-from there.
+These kernels are oracles: the production pricer (`pricer`) integrates them
+in closed form, and `quad_oracle` integrates them numerically to check it.
+The sine series of the corridor kernel keeps the modes that `series_terms`
+counts; nothing on the production path calls it, and this module imports
+nothing from the package.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .pricer import SeriesTruncation, series_terms
+
+@dataclass(frozen=True)
+class SeriesTruncation:
+    """Truncation control for the double-barrier eigenmode series."""
+
+    tol: float = 1e-12
+    max_terms: int = 100_000
+
+    def __post_init__(self):
+        if self.tol <= 0:
+            raise ValueError("truncation tolerance must be positive")
+        if self.max_terms < 1:
+            raise ValueError("max_terms must be at least 1")
+
+
+class SeriesTruncationError(ValueError):
+    """Raised when the eigenmode series cannot reach the requested tolerance.
+
+    A ValueError: the corridor cannot be valued at these inputs, as for any
+    other pricing error.
+    """
+
+    def __init__(self, message: str, achieved_bound: float):
+        super().__init__(message)
+        self.achieved_bound = achieved_bound
+
+
+def series_terms(v: float, lower: float, upper: float,
+                 trunc: SeriesTruncation = SeriesTruncation()) -> int:
+    """Number of eigenmodes the corridor series keeps at variance v.
+
+    Sets the mode count of `double_barrier_kernel`.
+
+    Returns the smallest n at which the geometric tail bound
+    (2/L) * exp(-p_n^2 v / 2) / (1 - exp(-(2n+1) pi^2 v / (2 L^2)))
+    drops below ``trunc.tol``.  Raises `SeriesTruncationError` when
+    ``trunc.max_terms`` modes do not suffice.
+    """
+    if v <= 0:
+        raise ValueError(f"accumulated variance must be positive, got {v}")
+    width = upper - lower
+    c = np.pi**2 * v / (2.0 * width**2)  # p_n^2 v/2 = c * n^2
+    n = 0
+    chunk = 1024
+    while n < trunc.max_terms:
+        hi = min(n + chunk, trunc.max_terms)
+        ns = np.arange(n + 1, hi + 1, dtype=float)
+        bounds = (2.0 / width) * np.exp(-c * ns * ns) / (-np.expm1(-(2.0 * ns + 1.0) * c))
+        ok = np.nonzero(bounds < trunc.tol)[0]
+        if ok.size:
+            return int(ns[ok[0]])
+        n = hi
+    last = float((2.0 / width) * np.exp(-c * trunc.max_terms**2)
+                 / (-np.expm1(-(2.0 * trunc.max_terms + 1.0) * c)))
+    raise SeriesTruncationError(
+        f"corridor series needs more than {trunc.max_terms} modes "
+        f"(tail bound {last:.3e} > tol {trunc.tol:.3e})", achieved_bound=last)
 
 
 def _check_variance(v: float):

@@ -8,21 +8,28 @@ The valuation recipe for a knock-out call struck at K:
 4. multiply by the bond price P to return from forward to cash units.
 
 Step 3 is the integral of an absorbing transition kernel against the payoff
-(e^{x'} - K), and for both products that integral is elementary:
+(e^{x'} - K), and one scalar helper, `knockout_call_forward`, does it for
+both products.  The kernel of the well has two exact expansions (Kunitomo
+and Ikeda 1992), and each integrates against the payoff in closed form:
 
-* up-and-out: the image kernel integrates to the reflection formula on a
-  zero-carry forward with sigma*sqrt(T) replaced by sqrt(v), that is
-  `up_and_out_call_constant_rate(e^x, K, e^B, rate=0, sigma=sqrt(v),
-  maturity=1)`;
-* corridor: each sine mode of the eigenmode kernel integrates against
-  e^{x'/2} and e^{-x'/2} in closed form, so the price is a finite sum over
-  the modes that `series_terms` keeps (`corridor_call_forward`).
+* images: a signed sum of Gaussians, each a pair of normal masses; it
+  converges fast at short variance;
+* sines: the eigenmodes of the well, each an elementary integral; it
+  converges fast at long variance.
+
+`series_counts` bounds both term counts in closed form, from v, the width
+L = u - l and the payoff scale e^u + K, and the helper sums whichever series
+is shorter: a few terms at any variance.  The up-and-out (l = -inf) is the
+images' single-reflection case, the reflection formula.
 
 This is the production path, and with `model.py` it imports no other module
-of the package.  The kernels of `kernels.py` and the adaptive quadrature of
-`quadrature.py` do not run on it: `quad_oracle` integrates the kernels
-numerically, and `verify` and the tests hold the closed forms to that
-independent result.  The oracles import from here, never the reverse.
+of the package.  The kernels of `kernels.py`, with their own mode count
+`kernels.series_terms`, and the adaptive quadrature of `quadrature.py` do
+not run on it: `quad_oracle` integrates the kernels numerically, and
+`verify` and the tests hold the closed forms to that independent result and
+to the textbook constant-rate formula `up_and_out_call_constant_rate`, which
+is kept here as an oracle only.  The oracles import from here, never the
+reverse.
 
 Barriers are levels on the forward price, which is where the knock-out
 condition of the underlying derivation lives; a spot is knocked out at
@@ -45,8 +52,15 @@ SINGLE_UP = "single_up"
 DOUBLE = "double"
 
 _SQRT_HALF = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LN2 = math.log(2.0)
+_LN_4_OVER_PI = math.log(4.0 / math.pi)
+_PI2_HALF = 0.5 * math.pi**2
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp() overflows above this
 _EPS = sys.float_info.epsilon
+# Truncation target of both corridor series, as a share of the forward e^x.
+_SERIES_TOL = 1e-16
+_LN_SERIES_TOL = -math.log(_SERIES_TOL)
 
 
 @dataclass(frozen=True)
@@ -132,9 +146,9 @@ class PriceCurve:
 class _Valuation:
     """The spot-independent part of a valuation at one short rate and time.
 
-    Holds the bond price P and, each computed on first use, the forward
-    variance v and the corridor's mode count.  `price_curve` builds one per
-    curve, so a curve evaluates each of them once rather than once per spot.
+    Holds the bond price P and, computed on first use, the forward variance
+    v.  `price_curve` builds one per curve, so a curve evaluates each of
+    them once rather than once per spot.
     """
 
     def __init__(self, spec: OptionSpec, p: VasicekParams, rate: float, time: float):
@@ -145,11 +159,6 @@ class _Valuation:
     @cached_property
     def v(self) -> float:
         return integrated_variance(self.time, self.spec.maturity, self.spec.maturity, self.p)
-
-    @cached_property
-    def n_modes(self) -> int:
-        lower, upper = self.spec.walls
-        return series_terms(self.v, lower, upper)
 
     def log_forward(self, spot: float) -> float:
         if not 0.0 < self.disc < math.inf:
@@ -174,12 +183,7 @@ class _Valuation:
         v = self.v
         if v == 0.0:
             return PriceResult(self.disc * max(math.exp(x) - spec.strike, 0.0))
-        if lower == -math.inf:
-            value = up_and_out_call_constant_rate(math.exp(x), spec.strike, math.exp(upper),
-                                                  rate=0.0, sigma=math.sqrt(v), maturity=1.0)
-        else:
-            value = corridor_call_forward(x, spec.strike, v, lower, upper, self.n_modes)
-        return PriceResult(self.disc * value)
+        return PriceResult(self.disc * knockout_call_forward(x, spec.strike, lower, upper, v))
 
 
 def log_forward(state: MarketState, spec: OptionSpec, p: VasicekParams) -> float:
@@ -215,106 +219,146 @@ def vanilla_call_forward(x: float, strike: float, v: float) -> float:
     return math.exp(x) * _norm_cdf(d1) - strike * _norm_cdf(d1 - rv)
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Truncation control for the double-barrier eigenmode series."""
+def _log_upper_tail(z: float) -> float:
+    """ln P(Z > z) for a standard normal Z and z >= 0, finite for every finite z.
 
-    tol: float = 1e-12
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("truncation tolerance must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-class SeriesTruncationError(ValueError):
-    """Raised when the eigenmode series cannot reach the requested tolerance.
-
-    A ValueError: the corridor cannot be valued at these inputs, as for any
-    other pricing error.
+    Below z = 30 the complementary error function is a normal float; beyond
+    it the asymptotic series of the Mills ratio, cut after the z^-12 term,
+    is exact to 3e-16 relative.
     """
+    if z < 30.0:
+        return math.log(0.5 * math.erfc(z * _SQRT_HALF))
+    w = 1.0 / (z * z)
+    mills = 1.0 - w * (1.0 - 3.0 * w * (1.0 - 5.0 * w * (1.0 - 7.0 * w * (
+        1.0 - 9.0 * w * (1.0 - 11.0 * w)))))
+    return -0.5 * z * z - math.log(z) - _LOG_SQRT_2PI + math.log(mills)
 
-    def __init__(self, message: str, achieved_bound: float):
-        super().__init__(message)
-        self.achieved_bound = achieved_bound
 
+def _weighted_mass(log_w: float, lo: float, hi: float) -> float:
+    """e^{log_w} * P(lo < Z < hi) for a standard normal Z, with lo < hi.
 
-def series_terms(v: float, lower: float, upper: float,
-                 trunc: SeriesTruncation = SeriesTruncation()) -> int:
-    """Number of eigenmodes the corridor series keeps at variance v.
-
-    Sets the mode count of `corridor_call_forward` and of the oracle kernel
-    `kernels.double_barrier_kernel`.
-
-    Returns the smallest n at which the geometric tail bound
-    (2/L) * exp(-p_n^2 v / 2) / (1 - exp(-(2n+1) pi^2 v / (2 L^2)))
-    drops below ``trunc.tol``.  Raises `SeriesTruncationError` when
-    ``trunc.max_terms`` modes do not suffice.
+    A mass in one tail is the difference of two upper tails.  Past 30
+    standard deviations, or under a weight e^{log_w} that is no float, it
+    is taken in logs, so a large weight times a tail too small for a float
+    neither overflows nor reads as 0 * inf.
     """
-    if v <= 0:
-        raise ValueError(f"accumulated variance must be positive, got {v}")
+    if hi <= 0.0:
+        lo, hi = -hi, -lo
+    if lo < 0.0:
+        return math.exp(log_w) * 0.5 * (math.erfc(-hi * _SQRT_HALF) - math.erfc(-lo * _SQRT_HALF))
+    if lo < 30.0 and log_w < 700.0:
+        return math.exp(log_w) * 0.5 * (math.erfc(lo * _SQRT_HALF) - math.erfc(hi * _SQRT_HALF))
+    a = _log_upper_tail(lo)
+    return math.exp(log_w + a) * -math.expm1(_log_upper_tail(hi) - a)
+
+
+def series_counts(x: float, strike: float, lower: float, upper: float,
+                  v: float) -> tuple[float, float]:
+    """A-priori term counts (images, sines) of `knockout_call_forward`.
+
+    Each count truncates its series with a tail below _SERIES_TOL * e^x,
+    bounded in closed form by the payoff scale S = e^u + K, the width
+    L = u - l and the variance v:
+
+    * images: every image whose centre lies (m + 1) L or more beyond the
+      corridor is at most S/2 e^{-((m+1) L - v/2)^2 / 2v}, so m + 1 =
+      ceil((t sqrt(v) + v/2) / L) groups suffice with t^2 = 2 ln(2 S /
+      (tol e^x)), once L t >= sqrt(v) ln 2;
+    * sines: mode n is at most 4/(n pi) S e^{(x-u)/2 - v/8 - c n^2}, with
+      c = pi^2 v / 2L^2, so n = ceil(sqrt(T / c)) - 1 modes suffice with
+      T = ln(4 S e^{-(x+u)/2} / (pi tol)) - v/8 - ln(1 - e^{-3c}).
+
+    A count that the bound cannot give is inf.  Their product stays near
+    2 ln(1/tol)/pi, so the smaller is a few terms at any variance.
+    """
+    log_scale = upper - x + math.log1p(math.exp(math.log(strike) - upper))  # ln(S / e^x)
     width = upper - lower
-    c = np.pi**2 * v / (2.0 * width**2)  # p_n^2 v/2 = c * n^2
-    n = 0
-    chunk = 1024
-    while n < trunc.max_terms:
-        hi = min(n + chunk, trunc.max_terms)
-        ns = np.arange(n + 1, hi + 1, dtype=float)
-        bounds = (2.0 / width) * np.exp(-c * ns * ns) / (-np.expm1(-(2.0 * ns + 1.0) * c))
-        ok = np.nonzero(bounds < trunc.tol)[0]
-        if ok.size:
-            return int(ns[ok[0]])
-        n = hi
-    last = float((2.0 / width) * np.exp(-c * trunc.max_terms**2)
-                 / (-np.expm1(-(2.0 * trunc.max_terms + 1.0) * c)))
-    raise SeriesTruncationError(
-        f"corridor series needs more than {trunc.max_terms} modes "
-        f"(tail bound {last:.3e} > tol {trunc.tol:.3e})", achieved_bound=last)
+    sv = math.sqrt(v)
+    t = math.sqrt(2.0 * (_LN2 + log_scale + _LN_SERIES_TOL))
+    if width * t < _LN2 * sv:
+        n_images = math.inf
+    else:
+        n_images = float(max(1, math.ceil((t * sv + 0.5 * v) / width)))
+    c = _PI2_HALF * v / (width * width)
+    if c == 0.0:
+        n_sines = math.inf
+    else:
+        reach = (_LN_4_OVER_PI + log_scale - 0.5 * (upper - x) - 0.125 * v + _LN_SERIES_TOL
+                 - math.log(-math.expm1(-3.0 * c)))
+        modes = math.sqrt(max(reach, 0.0) / c)
+        n_sines = max(1.0, math.ceil(modes) - 1.0) if modes < math.inf else math.inf
+    return n_images, n_sines
 
 
-def corridor_call_forward(x: float, strike: float, v: float, lower: float, upper: float,
-                          n_modes: int) -> float:
-    """Forward-units value of a call knocked out at either wall of a corridor.
+def _image_sum(x: float, strike: float, lower: float, upper: float, v: float,
+               groups: int) -> float:
+    """The knock-out call by the method of images, over ``groups`` image groups.
 
-    The eigenmode kernel of `double_barrier_kernel` integrated against the
-    payoff, mode by mode and in closed form:
+    The drifted kernel absorbed at both walls is a signed sum of Gaussians
+    e^g phi_v(y - m): the direct images at x + 2kL and the reflected ones at
+    2u - x + 2kL, k in Z, with m their centres shifted by -v/2 and e^g the
+    drift's weight.  Against (e^y - K) on the payoff window [lo, u], each
+    is two normal masses:
 
-        (2/L) e^{x/2 - v/8} sum_n e^{-p_n^2 v/2} sin(p_n (x - l)) [G(1/2) - K G(-1/2)]
+        e^{g + m + v/2} P(N(m + v, v) in W) - K e^g P(N(m, v) in W).
 
-    with L = u - l, p_n = n pi / L and
-
-        G(alpha) = int_lo^u e^{alpha y} sin(p_n (y - l)) dy
-                 = [e^{alpha y} (alpha sin(p_n (y - l)) - p_n cos(p_n (y - l)))
-                    / (alpha^2 + p_n^2)] from lo = max(ln K, l) to u,
-
-    where at y = u the sine is 0 and the cosine (-1)^n.  ``n_modes`` is the
-    mode count of `series_terms`; the caller has checked l < x < u.
-
-    A wide corridor's terms grow like e^{u/2} and cancel in the sum.  The
-    sum's rounding error is bounded by about 4 eps sum_n |term_n|; when that
-    bound exceeds 1e-10 of the value plus 1e-12, a ValueError names the
-    upper wall instead of returning a wrong price.
+    Group 0 holds the wall reflections R_0 (upper) and R_{-1} (lower),
+    group 2k - 1 the direct pair A_{+-k}, and group 2j the reflections
+    R_j and R_{-j-1}.  With no lower wall (l = -inf) only A_0 - R_0 is left:
+    the reflection formula of the up-and-out.
     """
-    width = upper - lower
-    n = np.arange(1, n_modes + 1)
-    pn = np.pi * n / width
+    sv = math.sqrt(v)
     lo = max(math.log(strike), lower)
-    sin_lo = np.sin(pn * (lo - lower))
-    cos_lo = np.cos(pn * (lo - lower))
-    cos_up = np.where(n % 2 == 1, -1.0, 1.0)
+    width = upper - lower
 
-    def g(alpha):
-        at_up = -math.exp(alpha * upper) * pn * cos_up
-        at_lo = math.exp(alpha * lo) * (alpha * sin_lo - pn * cos_lo)
-        return (at_up - at_lo) / (alpha * alpha + pn * pn)
+    def image(g, m):
+        return (_weighted_mass(g + m + 0.5 * v, (lo - m - v) / sv, (upper - m - v) / sv)
+                - strike * _weighted_mass(g, (lo - m) / sv, (upper - m) / sv))
 
-    modes = np.exp(-0.5 * v * pn * pn) * np.sin(pn * (x - lower))
-    coeffs = g(0.5) - strike * g(-0.5)
-    scale = 2.0 / width * math.exp(0.5 * x - v / 8.0)
-    value = scale * float(modes @ coeffs)
-    rounding = 4.0 * _EPS * scale * float(np.abs(modes) @ np.abs(coeffs))
+    to_up, to_lo = upper - x, x - lower
+    total = image(0.0, x - 0.5 * v)
+    for group in range(groups):
+        j = group // 2
+        if group % 2:  # direct pair A_{+-k}, k = j + 1
+            shift = (j + 1) * width
+            total += image(-shift, x + 2.0 * shift - 0.5 * v)
+            total += image(shift, x - 2.0 * shift - 0.5 * v)
+        else:  # reflections R_j and R_{-j-1}
+            shift = j * width if j else 0.0  # the width is inf for the up-and-out
+            total -= image(-to_up - shift, upper + to_up + 2.0 * shift - 0.5 * v)
+            if lower > -math.inf:
+                total -= image(to_lo + shift, lower - to_lo - 2.0 * shift - 0.5 * v)
+    return total
+
+
+def _sine_sum(x: float, strike: float, lower: float, upper: float, v: float,
+              modes: int) -> float:
+    """The corridor call by the sine eigenmodes of the well, over ``modes`` modes.
+
+    (2/L) e^{x/2 - v/8} sum_n e^{-p_n^2 v/2} sin(p_n (x - l)) [G(1/2) - K G(-1/2)]
+
+    with p_n = n pi / L and G(alpha) the integral of e^{alpha y} sin(p_n (y - l))
+    over [lo, u], lo = max(ln K, l), which is elementary.  The terms of a wide
+    corridor grow like e^{u/2} and cancel; when the sum's rounding bound,
+    4 eps sum_n |term_n|, exceeds 1e-10 of the value plus 1e-12, a
+    ValueError names the upper wall rather than return a wrong price.
+    """
+    width = upper - lower
+    lo = max(math.log(strike), lower)
+    e_up, e_lo = math.exp(0.5 * upper), math.exp(0.5 * lo)
+    k_up, k_lo = strike / e_up, strike / e_lo
+    total = size = 0.0
+    for n in range(1, modes + 1):
+        p = math.pi * n / width
+        s_lo, c_lo = math.sin(p * (lo - lower)), math.cos(p * (lo - lower))
+        at_up = p * (e_up - k_up) if n % 2 else -p * (e_up - k_up)  # -p cos(n pi) (...)
+        coeff = (at_up - 0.5 * s_lo * (e_lo + k_lo) + p * c_lo * (e_lo - k_lo)) / (p * p + 0.25)
+        term = math.exp(-0.5 * v * p * p) * math.sin(p * (x - lower)) * coeff
+        total += term
+        size += abs(term)
+    scale = 2.0 / width * math.exp(0.5 * x - 0.125 * v)
+    value = scale * total
+    rounding = 4.0 * _EPS * scale * size
     if not rounding <= 1e-10 * abs(value) + 1e-12:
         raise ValueError(
             f"log_barriers[1] = {upper!r}: the corridor's sine series loses its "
@@ -323,16 +367,35 @@ def corridor_call_forward(x: float, strike: float, v: float, lower: float, upper
     return value
 
 
+def knockout_call_forward(x: float, strike: float, lower: float, upper: float,
+                          v: float) -> float:
+    """Forward-units value of a call knocked out at the walls (lower, upper).
+
+    The absorbed kernel integrated against the payoff (e^{x'} - K) over
+    max(ln K, l) < x' < u, by the image or the sine series, whichever
+    `series_counts` finds shorter; ties go to the images, which do not
+    cancel.  ``lower`` is -inf for the up-and-out, which is the images'
+    single-reflection case.  The caller has checked l < x < u, v > 0,
+    max(ln K, l) < u and that e^u is a float.
+    """
+    if lower == -math.inf:  # one reflection, as `series_counts` would find
+        return _image_sum(x, strike, lower, upper, v, 1)
+    n_images, n_sines = series_counts(x, strike, lower, upper, v)
+    if n_images <= n_sines:
+        return _image_sum(x, strike, lower, upper, v, int(n_images))
+    return _sine_sum(x, strike, lower, upper, v, int(n_sines))
+
+
 def price_single_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams, *,
                          terms: _Valuation | None = None) -> PriceResult:
     """Value an up-and-out call under stochastic rates.
 
-    Returns P(r, t; tau) times the reflection formula for an up-and-out
-    call on the zero-carry forward e^x with barrier e^B and total variance
-    v accumulated over [t, tau]: `up_and_out_call_constant_rate(e^x, K,
-    e^B, rate=0, sigma=sqrt(v), maturity=1)`.  That is the integral of
-    `barrier_kernel(x, x', v, B) * (e^{x'} - K)` over ln K < x' < B, which
-    `quad_oracle.price_by_quadrature` evaluates numerically.
+    Returns P(r, t; tau) times `knockout_call_forward(x, K, -inf, B, v)`,
+    the reflection formula for an up-and-out call on the zero-carry forward
+    e^x with barrier e^B and total variance v accumulated over [t, tau].
+    That is the integral of `barrier_kernel(x, x', v, B) * (e^{x'} - K)`
+    over ln K < x' < B, which `quad_oracle.price_by_quadrature` evaluates
+    numerically.
 
     A spot whose log forward is at or beyond the barrier prices to zero and
     is flagged as knocked out; a strike at or above the barrier leaves no
@@ -351,10 +414,10 @@ def price_double_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams,
                          terms: _Valuation | None = None) -> PriceResult:
     """Value a knock-out call inside an absorbing corridor.
 
-    Returns P times `corridor_call_forward`: the integral of
-    `double_barrier_kernel(x, x', v, lower, upper)` against (e^{x'} - K)
-    over max(ln K, lower) < x' < upper, summed in closed form over the
-    modes that `series_terms` keeps.  ``terms`` is as for
+    Returns P times `knockout_call_forward(x, K, lower, upper, v)`: the
+    integral of `double_barrier_kernel(x, x', v, lower, upper)` against
+    (e^{x'} - K) over max(ln K, lower) < x' < upper, summed in closed form
+    over the shorter of the image and the sine series.  ``terms`` is as for
     `price_single_barrier`.
     """
     if spec.barrier_kind != DOUBLE:
@@ -378,12 +441,12 @@ def price(state: MarketState, spec: OptionSpec, p: VasicekParams, *,
 def price_curve(spots, spec: OptionSpec, p: VasicekParams) -> PriceCurve:
     """Price the option over a strictly increasing spot grid at t=0, r=r0.
 
-    The bond price, the variance and the corridor's mode count do not
-    depend on spot and are computed once for the curve.  Knocked-out spots
-    price to zero.  A row that fails with a ValueError (a bad spot, an
-    explosive model, a corridor series past its mode budget) is recorded in
-    ``errors`` for that row, with the price set to NaN, and does not abort
-    the rest of the curve; any other exception propagates.
+    The bond price and the variance do not depend on spot and are computed
+    once for the curve.  Knocked-out spots price to zero.  A row that fails
+    with a ValueError (an explosive model, a barrier level that overflows a
+    float) is recorded in ``errors`` for that row, with the price set to
+    NaN, and does not abort the rest of the curve; any other exception
+    propagates.
     """
     spots = np.asarray(spots, dtype=float)
     if spots.size == 0:
@@ -411,7 +474,9 @@ def up_and_out_call_constant_rate(spot: float, strike: float, barrier: float,
     Standard reflection formula in terms of normal CDFs.  With
     ``dividend_yield == rate`` the carry is zero, which prices a barrier
     option on a driftless forward: that is the constant-rate limit of the
-    stochastic-rate pricer when called with the forward as "spot".
+    stochastic-rate pricer when called with the forward as "spot".  An
+    oracle only: the pricers do not call it, and `verify` and the tests
+    hold `knockout_call_forward` to it.
 
     Parameters
     ----------

@@ -67,21 +67,18 @@ class TestPriceCommand:
         assert code == 5 and out == ""
         assert err.startswith("error: ") and "log_barriers[0] = 1500.0" in err
 
-    def test_corridor_past_its_mode_budget_is_a_pricing_error(self, capsys):
-        # total variance 1e-18 in a corridor 0.27 wide
+    def test_near_zero_variance_corridor_prices(self, capsys):
+        # total variance 1e-18 in a corridor 0.27 wide: the intrinsic S - K P
         code, out, err = run(capsys, "price", "--sigma1", "1e-9", "--sigma2", "0",
                              "--barrier-low", "4.6", "--barrier-high", "4.87")
-        assert code == 5 and out == ""
-        assert err.startswith("error: ") and "more than 100000 modes" in err
-        assert len(err.splitlines()) == 1
+        assert code == 0 and err == ""
+        assert float(out.strip().split(",")[1]) == pytest.approx(14.5264753362576, rel=1e-12)
 
-
-    @pytest.mark.parametrize("upper", ["40", "60", "80", "700"])
-    def test_too_wide_corridor_is_a_pricing_error(self, capsys, upper):
+    @pytest.mark.parametrize("upper", ["27", "40", "60", "80", "700"])
+    def test_wide_corridor_prices_as_the_down_and_out(self, capsys, upper):
         code, out, err = run(capsys, "price", "--barrier-low", "4.6", "--barrier-high", upper)
-        assert code == 5 and out == ""
-        assert err.startswith(f"error: log_barriers[1] = {float(upper)!r}: ")
-        assert len(err.splitlines()) == 1
+        assert code == 0 and err == ""
+        assert float(out.strip().split(",")[1]) == pytest.approx(14.1764971776479, rel=1e-12)
 
 class TestConfigFile:
     def test_file_overrides_defaults_flags_override_file(self, tmp_path, capsys):
@@ -263,16 +260,67 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and "a=-2.0" in err and "maturity 30.0" in err
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("closed_form", ["up_and_out_call_constant_rate",
-                                             "corridor_call_forward"])
-    def test_perturbed_closed_form_fails(self, closed_form, monkeypatch, capsys):
+    @pytest.mark.parametrize("closed_form, checks", [
+        ("knockout_call_forward", ["constant-rate closed-form reduction",
+                                   "closed form vs kernel quadrature"]),
+        ("up_and_out_call_constant_rate", ["constant-rate closed-form reduction"]),
+    ], ids=["production", "constant-rate oracle"])
+    def test_perturbed_closed_form_fails(self, closed_form, checks, monkeypatch, capsys):
         exact = getattr(pricer, closed_form)
         monkeypatch.setattr(pricer, closed_form,
-                            lambda *a, **k: exact(*a, **k) * (1.0 + 1e-6))
+                            lambda *a, **k: exact(*a, **k) * (1.0 + 1e-5))
         code, out, _ = run(capsys, "verify", "--paths", "1000", "--steps", "64")
         assert code == 3
-        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert len(failed) == 1 and "closed form vs kernel quadrature" in failed[0]
+        failed = [line[6:48].strip() for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == checks
+
+    def test_near_deterministic_model_reaches_every_check(self, capsys):
+        # total variance 1e-18: the forward-measure estimates agree with the
+        # closed form to rounding, and each oracle that cannot evaluate the
+        # inputs fails its own check by name instead of ending the run
+        code, out, err = run(capsys, "verify", "--sigma1", "1e-9", "--sigma2", "0",
+                             "--paths", "1000")
+        lines = out.strip().splitlines()
+        assert err == "" and code == 3
+        assert len(lines) == 10 and lines[-1].endswith("check(s) failed")
+        verdicts = {line[6:48].strip(): line[:4] for line in lines[:-1]}
+        for name in ("single barrier vs forward-measure mc",
+                     "double barrier vs forward-measure mc",
+                     "constant-rate closed-form reduction", "bond vs ode solution"):
+            assert verdicts[name] == "PASS", out
+        oracle_failures = [line for line in lines if "oracle cannot evaluate" in line]
+        assert oracle_failures and all(line.startswith("FAIL") for line in oracle_failures)
+
+
+def _estimate(mean, std_error, n_paths=1000):
+    return cli.mc_oracle.MCEstimate(mean=mean, std_error=std_error, n_paths=n_paths,
+                                    n_steps=8, seed=0)
+
+
+class TestMCCheck:
+    @pytest.mark.parametrize("mean, std_error", [(math.nan, 0.1), (1.0, math.nan),
+                                                 (math.inf, 0.1), (1.0, math.inf),
+                                                 (math.nan, 0.0)])
+    def test_non_finite_estimate_fails_as_such(self, mean, std_error):
+        passed, detail = cli._mc_check(1.0, _estimate(mean, std_error), payoff_cap=10.0)
+        assert not passed and detail.startswith("non-finite estimate")
+
+    def test_scale_floored_at_rounding_of_the_analytic_value(self):
+        # a standard error below float resolution: 3.5e-15 apart at 14.53 is
+        # |z| 22 on the standard error, 0.27 on the rounding floor
+        analytic = 14.52647533625759
+        passed, detail = cli._mc_check(analytic, _estimate(analytic + 3.5e-15, 1.59e-16),
+                                       payoff_cap=30.0)
+        assert passed and detail.startswith("|z|=0.2")
+        passed, _ = cli._mc_check(analytic, _estimate(analytic + 1e-12, 1.59e-16),
+                                  payoff_cap=30.0)
+        assert not passed
+
+    def test_zero_standard_error_uses_the_rule_of_three(self):
+        passed, detail = cli._mc_check(8.4e-4, _estimate(0.0, 0.0), payoff_cap=30.0)
+        assert passed and detail.startswith("degenerate sample")
+        passed, _ = cli._mc_check(0.5, _estimate(0.0, 0.0), payoff_cap=30.0)
+        assert not passed
 
 
 def test_unknown_command_is_config_error(capsys):

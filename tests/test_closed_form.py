@@ -1,8 +1,8 @@
 """The closed-form pricers against kernel quadrature and the committed figures.
 
-`price_single_barrier` and `price_double_barrier` use the reflection formula
-and the integrated sine series; `price_by_quadrature` integrates the image
-and eigenmode kernels numerically.  The two must agree wherever the figures,
+`price_single_barrier` and `price_double_barrier` sum the shorter of the
+image and the integrated sine series; `price_by_quadrature` integrates the
+image and eigenmode kernels numerically.  The two must agree wherever the figures,
 the maturity sweep and the wide corridor take them.
 """
 

@@ -157,6 +157,7 @@ class TestDoubleBarrierKernel:
         with pytest.raises(SeriesTruncationError) as info:
             series_terms(1e-8, B_LOW, B_UP, SeriesTruncation(tol=1e-12, max_terms=10))
         assert info.value.achieved_bound > 1e-12
+        assert isinstance(info.value, ValueError)
         with pytest.raises(SeriesTruncationError):
             double_barrier_kernel(4.7, 4.72, 1e-8, B_LOW, B_UP,
                                   SeriesTruncation(tol=1e-12, max_terms=10))

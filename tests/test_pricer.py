@@ -7,12 +7,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from vasicek_barrier import (MarketState, OptionSpec, PriceResult,
-                             SeriesTruncationError, VasicekParams, bond_price,
-                             free_kernel, integrated_variance, log_forward,
+from vasicek_barrier import (MarketState, OptionSpec, PriceResult, VasicekParams,
+                             bond_price, free_kernel, integrated_variance, log_forward,
                              price, price_curve, price_double_barrier,
                              price_single_barrier, up_and_out_call_constant_rate,
                              vanilla_call_forward)
+from vasicek_barrier.pricer import _sine_sum, series_counts
 
 REF = VasicekParams(a=1.0, theta=0.04, sigma1=0.3, sigma2=0.3, rho=0.5, r0=0.05)
 B_LOW = math.log(100.0)
@@ -139,7 +139,7 @@ class TestSingleBarrier:
             ours = price_single_barrier(MarketState(spot=spot, rate=0.05), SINGLE, const)
             ref = up_and_out_call_constant_rate(spot / disc, 100.0, 130.0, 0.05,
                                                 0.3, 1.0, dividend_yield=0.05)
-            assert ours.price == pytest.approx(ref, rel=1e-6)
+            assert ours.price == pytest.approx(ref, rel=1e-10)
 
     def test_far_barrier_recovers_vanilla(self):
         state = MarketState(spot=110.0, rate=0.05)
@@ -203,14 +203,31 @@ class TestDoubleBarrier:
             s = price_single_barrier(state, SINGLE, REF)
             assert d.price == pytest.approx(s.price, rel=1e-6)
 
-    @pytest.mark.parametrize("upper", [40.0, 60.0, 80.0, 700.0])
-    def test_wide_corridor_raises_naming_the_upper_wall(self, upper):
-        # the sine terms grow like e^{upper/2} and cancel: at 80 the sum read
-        # -2388.55 and at 700 -1.19e137 before the rounding bound was checked
-        spec = OptionSpec.double(100.0, 1.0, 4.6, upper)
-        with pytest.raises(ValueError, match=re.escape(f"log_barriers[1] = {upper!r}")
+    @pytest.mark.parametrize("upper", [27.0, 40.0, 60.0, 80.0, 700.0])
+    def test_wide_corridor_is_the_down_and_out(self, upper):
+        # one image prices it: the sine series would cancel terms of size
+        # e^{upper/2}, which read -2388.55 at 80 and -1.19e137 at 700
+        lower = 4.6
+        state = MarketState(spot=110.0, rate=0.05)
+        got = price_double_barrier(state, OptionSpec.double(100.0, 1.0, lower, upper), REF)
+        x = log_forward(state, SINGLE, REF)
+        v = integrated_variance(0.0, 1.0, 1.0, REF)
+        down_and_out = (vanilla_call_forward(x, 100.0, v) - math.exp(x - lower)
+                        * vanilla_call_forward(2.0 * lower - x, 100.0, v))
+        assert math.isfinite(got.price)
+        assert got.price == pytest.approx(bond_price(0.05, 0.0, 1.0, REF) * down_and_out,
+                                          rel=1e-10)
+
+    def test_sine_series_of_a_wide_corridor_raises_naming_the_upper_wall(self):
+        # the images price this corridor; summed as sines instead, its terms
+        # cancel past float accuracy, and the rounding bound says so
+        x = log_forward(MarketState(spot=110.0, rate=0.05), SINGLE, REF)
+        v = integrated_variance(0.0, 1.0, 1.0, REF)
+        n_images, n_sines = series_counts(x, 100.0, 4.6, 80.0, v)
+        assert n_images == 1 < n_sines
+        with pytest.raises(ValueError, match=re.escape("log_barriers[1] = 80.0")
                            + ".*loses its accuracy"):
-            price_double_barrier(MarketState(spot=110.0, rate=0.05), spec, REF)
+            _sine_sum(x, 100.0, 4.6, 80.0, v, int(n_sines))
 
     def test_wide_corridor_within_the_rounding_bound_still_prices(self):
         # an upper wall far above the forward leaves the price where it was
@@ -250,15 +267,27 @@ class TestPriceCurve:
             assert np.all(curve.prices >= 0.0)
 
     def test_per_row_error_capture(self):
-        # total variance 1e-18: the corridor series cannot converge within its
-        # mode budget, which is a ValueError recorded per row
-        frozen = replace(REF, sigma1=1e-9, sigma2=0.0)
-        corridor = OptionSpec.double(100.0, 1.0, 4.6, 4.87)
-        curve = price_curve(np.array([105.0, 110.0]), corridor, frozen)
-        assert all(e is not None and "SeriesTruncationError" in e and "100000 modes" in e
-                   for e in curve.errors)
+        # a < 0 over 30 years: the bond price overflows, a ValueError that
+        # each row records by name
+        corridor = OptionSpec.double(100.0, 30.0, B_LOW, B_UP)
+        curve = price_curve(np.array([105.0, 110.0]), corridor, replace(REF, a=-2.0))
+        assert all(e is not None and e.startswith("ValueError: ") and "a=-2.0" in e
+                   and "maturity 30.0" in e for e in curve.errors)
         assert np.all(np.isnan(curve.prices))
-        assert issubclass(SeriesTruncationError, ValueError)
+
+    def test_near_zero_variance_corridor_is_intrinsic(self):
+        # total variance 1e-18 in a corridor 0.27 wide: the forward cannot
+        # move, so both knock-outs pay S - K P
+        frozen = replace(REF, sigma1=1e-9, sigma2=0.0)
+        assert integrated_variance(0.0, 1.0, 1.0, frozen) == pytest.approx(1e-18, rel=1e-12)
+        intrinsic = 110.0 - 100.0 * bond_price(0.05, 0.0, 1.0, frozen)
+        curve = price_curve(np.array([105.0, 110.0]), OptionSpec.double(100.0, 1.0, 4.6, 4.87),
+                            frozen)
+        assert curve.errors == (None, None)
+        assert curve.prices[1] == pytest.approx(intrinsic, rel=1e-14)
+        single = price_single_barrier(MarketState(spot=110.0, rate=0.05),
+                                      OptionSpec.single_up(100.0, 1.0, 4.87), frozen)
+        assert single.price == curve.prices[1]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
