@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from vasicek_barrier import (barrier_kernel, double_barrier_kernel, free_kernel,
-                             series_terms, SeriesTruncation)
+                             series_terms)
 
 B_LOW, B_UP = math.log(100.0), math.log(130.0)
 v = 0.138  # a representative one-year accumulated variance
@@ -34,7 +34,7 @@ for mult in (0.5, 1.0, 2.0, 4.0, 8.0):
 
 print("\neigenmodes needed for the corridor kernel (tol 1e-12):")
 for vv in (1e-4, 1e-3, 1e-2, 0.138, 1.0):
-    print(f"  v={vv:7.4f}  modes={series_terms(vv, B_LOW, B_UP, SeriesTruncation()):5d}")
+    print(f"  v={vv:7.4f}  modes={series_terms(vv, B_LOW, B_UP):5d}")
 
 print("\ncomposition check: splitting the variance and re-integrating")
 v1, v2 = 0.06, 0.078

@@ -9,8 +9,7 @@ independent Monte Carlo oracles and a constant-rate closed form verify every
 number it produces.
 """
 
-from .kernels import (SeriesTruncation, SeriesTruncationError, barrier_kernel,
-                      double_barrier_kernel, free_kernel, series_terms)
+from .kernels import barrier_kernel, double_barrier_kernel, free_kernel, series_terms
 from .mc_oracle import (MCConfig, MCEstimate, bond_mc, price_barrier_mc,
                         price_barrier_mc_two_factor)
 from .model import (VasicekParams, b_factor, bond_price, bond_price_from_ode,
@@ -20,7 +19,7 @@ from .pricer import (MarketState, OptionSpec, PriceCurve, PriceResult,
                      price_double_barrier, price_single_barrier,
                      up_and_out_call_constant_rate, vanilla_call_forward)
 from .quad_oracle import price_by_quadrature
-from .quadrature import QuadratureError, QuadratureSpec, integrate
+from .quadrature import QuadratureError, integrate
 
 __version__ = "0.1.0"
 
@@ -32,9 +31,6 @@ __all__ = [
     "PriceCurve",
     "PriceResult",
     "QuadratureError",
-    "QuadratureSpec",
-    "SeriesTruncation",
-    "SeriesTruncationError",
     "VasicekParams",
     "b_factor",
     "barrier_kernel",

@@ -19,73 +19,47 @@ a single evaluation at v = integrated_variance(t, tau) prices the whole path.
 These kernels are oracles: the production pricer (`pricer`) integrates them
 in closed form, and `quad_oracle` integrates them numerically to check it.
 The sine series of the corridor kernel keeps the modes that `series_terms`
-counts; nothing on the production path calls it, and this module imports
-nothing from the package.
+counts from v and the width, to a fixed tail bound of 1e-12 and at most
+100000 modes; nothing on the production path calls it, and this module
+imports nothing from the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Truncation control for the double-barrier eigenmode series."""
-
-    tol: float = 1e-12
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("truncation tolerance must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
+# The corridor series keeps modes until its tail bound is below this.
+_SERIES_TOL = 1e-12
+# At most this many modes, which bounds the (modes x points) array of
+# `double_barrier_kernel`; a smaller variance cannot be valued.
+_MAX_MODES = 100_000
 
 
-class SeriesTruncationError(ValueError):
-    """Raised when the eigenmode series cannot reach the requested tolerance.
-
-    A ValueError: the corridor cannot be valued at these inputs, as for any
-    other pricing error.
-    """
-
-    def __init__(self, message: str, achieved_bound: float):
-        super().__init__(message)
-        self.achieved_bound = achieved_bound
-
-
-def series_terms(v: float, lower: float, upper: float,
-                 trunc: SeriesTruncation = SeriesTruncation()) -> int:
+def series_terms(v: float, lower: float, upper: float) -> int:
     """Number of eigenmodes the corridor series keeps at variance v.
 
     Sets the mode count of `double_barrier_kernel`.
 
     Returns the smallest n at which the geometric tail bound
     (2/L) * exp(-p_n^2 v / 2) / (1 - exp(-(2n+1) pi^2 v / (2 L^2)))
-    drops below ``trunc.tol``.  Raises `SeriesTruncationError` when
-    ``trunc.max_terms`` modes do not suffice.
+    drops below 1e-12.  Raises ValueError, naming v, when 100000 modes do
+    not suffice.
     """
-    if v <= 0:
-        raise ValueError(f"accumulated variance must be positive, got {v}")
+    _check_variance(v)
     width = upper - lower
     c = np.pi**2 * v / (2.0 * width**2)  # p_n^2 v/2 = c * n^2
     n = 0
     chunk = 1024
-    while n < trunc.max_terms:
-        hi = min(n + chunk, trunc.max_terms)
+    while n < _MAX_MODES:
+        hi = min(n + chunk, _MAX_MODES)
         ns = np.arange(n + 1, hi + 1, dtype=float)
         bounds = (2.0 / width) * np.exp(-c * ns * ns) / (-np.expm1(-(2.0 * ns + 1.0) * c))
-        ok = np.nonzero(bounds < trunc.tol)[0]
+        ok = np.nonzero(bounds < _SERIES_TOL)[0]
         if ok.size:
             return int(ns[ok[0]])
         n = hi
-    last = float((2.0 / width) * np.exp(-c * trunc.max_terms**2)
-                 / (-np.expm1(-(2.0 * trunc.max_terms + 1.0) * c)))
-    raise SeriesTruncationError(
-        f"corridor series needs more than {trunc.max_terms} modes "
-        f"(tail bound {last:.3e} > tol {trunc.tol:.3e})", achieved_bound=last)
+    raise ValueError(f"corridor series at variance v={v!r} needs more than "
+                     f"{_MAX_MODES} modes")
 
 
 def _check_variance(v: float):
@@ -138,12 +112,11 @@ def barrier_kernel(x: float, x_prime, v: float, barrier: float):
     return out if out.ndim else float(out)
 
 
-def double_barrier_kernel(x: float, x_prime, v: float, lower: float, upper: float,
-                          trunc: SeriesTruncation = SeriesTruncation()):
+def double_barrier_kernel(x: float, x_prime, v: float, lower: float, upper: float):
     """Transition density absorbed at both walls of a corridor.
 
     exp((x-x')/2 - v/8) * sum_n exp(-p_n^2 v/2) phi_n(x) phi_n(x'), truncated
-    once the tail bound of `series_terms` is below ``trunc.tol``.
+    at the mode count of `series_terms`.
 
     Parameters
     ----------
@@ -161,7 +134,7 @@ def double_barrier_kernel(x: float, x_prime, v: float, lower: float, upper: floa
         raise ValueError(f"corridor is empty: [{lower}, {upper}]")
     _check_variance(v)
     width = upper - lower
-    n_star = series_terms(v, lower, upper, trunc)
+    n_star = series_terms(v, lower, upper)
     pn = np.pi * np.arange(1, n_star + 1) / width
     weights = np.exp(-0.5 * pn * pn * v) * np.sin(pn * (x - lower))
 

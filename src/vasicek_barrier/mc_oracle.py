@@ -22,10 +22,13 @@ Barrier monitoring is either ``discrete`` (grid points only) or
 wall.  The bridge correction then weights each surviving path's payoff by
 its survival probability between grid points, prod_j (1 - p_j) with p_j the
 Brownian-bridge crossing probability of step j; for the corridor, 1 - p_j is
-the reflection series truncated at images |k| <= 10 (Glasserman 2004, §6.4).
-This is unbiased, draws no uniforms and has a lower variance than knocking
-out with probability p_j.  p_j is evaluated only on steps near a wall
-(`_weigh_near_walls`); on every other step 1 - p_j rounds to exactly 1.0.
+the reflection series (Glasserman 2004, §6.4) over images |k| <= 1 +
+sqrt(375 v)/L at the largest step variance v, beyond which every term
+underflows, and exactly 0 where the lowest eigenmode bounds it below 2^-57
+(`_corridor_stay_prob_into`).  This is unbiased, draws no uniforms and has
+a lower variance than knocking out with probability p_j.  p_j is evaluated
+only on steps near a wall (`_weigh_near_walls`); on every other step
+1 - p_j rounds to exactly 1.0.
 
 Antithetic pairs: a block of m paths draws normals for its first
 h = ceil(m/2) paths only, and path h + i replays path i with every normal
@@ -70,13 +73,15 @@ BRIDGE = "bridge_corrected"
 DISCRETE = "discrete"
 
 _BLOCK = 1 << 11
-_BRIDGE_IMAGES = 10  # reflection images on each side in the corridor series
 # A bridge step is evaluated only where its crossing series can exceed
 # exp(-_SCREEN): exp(-40) < 2**-57, so elsewhere 1 - p rounds to exactly 1.0.
 _SCREEN = 40.0
 # exp() underflows to zero below roughly -745; provably smaller series terms
 # are skipped without changing the float64 sum.
 _EXP_UNDERFLOW = -750.0
+# A corridor step whose lowest eigenmode decays by exp(-_FLOOR_MODE) or more
+# stays with probability below 2**-57 and is given exactly 0.
+_FLOOR_MODE = 50.0
 # Exponents are floored here before exp(): the result (~1e-304) is
 # indistinguishable from zero for knock decisions and sums, and flooring keeps
 # exp() off its near-underflow slow path, which is two orders of magnitude
@@ -343,41 +348,57 @@ def _corridor_stay_prob_into(acc, left, right, lower, upper, inv_v):
     """Fill acc with the bridge stay probabilities of steps inside a corridor.
 
     The steps run from ``left`` to ``right`` with reciprocal variances
-    ``inv_v``, all 1-D.  Reflection series over images |k| <= _BRIDGE_IMAGES:
+    ``inv_v``, all 1-D.  Reflection series over images |k| <= K:
     sum_k exp(-2 kL (kL + d)/v) - exp(-2 (kL + a)(kL + b)/v) with
     a, b the endpoint distances to the lower wall and d = b - a the step
-    increment.  Exponents are clipped at zero; the result is meaningful only
-    where both endpoints lie inside (outside steps are handled by the grid
-    check).  Terms that provably underflow for in-corridor endpoints are
-    skipped, which leaves the float64 sum unchanged.
+    increment.  For endpoints inside the corridor both exponents of image k
+    are at most -2 (|k| - 1)^2 L^2 / v, so every term beyond
+    K = 1 + floor(sqrt(375 v) / L), at the largest v of the steps, lies
+    below exp(-750) and is skipped without changing the float64 sum.
+
+    A step whose stay probability is provably below 2^-57 gets exactly 0,
+    as `_weigh_near_walls` gives a step far from both walls exactly 1.  The
+    stay probability is the corridor heat kernel over the free one.  With
+    c = pi^2 v / (2 L^2), |d| <= L and
+    sum_{n>=1} exp(-n^2 c) <= exp(-c) / (1 - exp(-3c)), the lowest
+    eigenmode bounds it by
+        4 sqrt(c / pi) exp(pi^2 / (4c) - c) / (1 - exp(-3c)),
+    which falls with c and is 3.2e-21 < 2^-57 at c = _FLOOR_MODE = 50.
+    Steps at c >= 50 are floored, so the series serves only
+    v < 100 L^2 / pi^2, which caps K at 62.
+
+    Exponents are clipped at zero; the result is meaningful only where both
+    endpoints lie inside (outside steps are handled by the grid check).
     """
     width = upper - lower
+    v_floor = 2.0 * _FLOOR_MODE * width * width / np.pi**2
     vmax = 1.0 / float(np.min(inv_v))
+    images = 1 + int(math.sqrt(-0.5 * _EXP_UNDERFLOW * min(vmax, v_floor)) / width)
     d = right - left
     t, t2 = np.empty_like(acc), np.empty_like(acc)
     acc.fill(0.0)
-    for k in range(-_BRIDGE_IMAGES, _BRIDGE_IMAGES + 1):
+    for k in range(-images, images + 1):
         kl = k * width
         if k == 0:
             acc += 1.0
-        elif -2.0 * (abs(k) - 1.0) ** 2 * width * width / vmax >= _EXP_UNDERFLOW:
+        else:
             np.add(d, kl, out=t)
             np.multiply(t, inv_v, out=t)
             np.multiply(t, -2.0 * kl, out=t)
             np.clip(t, _EXP_FLOOR, 0.0, out=t)
             np.exp(t, out=t)
             np.add(acc, t, out=acc)
-        if -2.0 * (abs(k) - 1.0) * max(abs(k) - 1.0, 1.0) * width * width / vmax \
-                >= _EXP_UNDERFLOW or k == 0:
-            np.add(left, kl - lower, out=t)
-            np.add(right, kl - lower, out=t2)
-            np.multiply(t, t2, out=t)
-            np.multiply(t, inv_v, out=t)
-            np.multiply(t, -2.0, out=t)
-            np.clip(t, _EXP_FLOOR, 0.0, out=t)
-            np.exp(t, out=t)
-            np.subtract(acc, t, out=acc)
+        np.add(left, kl - lower, out=t)
+        np.add(right, kl - lower, out=t2)
+        np.multiply(t, t2, out=t)
+        np.multiply(t, inv_v, out=t)
+        np.multiply(t, -2.0, out=t)
+        np.clip(t, _EXP_FLOOR, 0.0, out=t)
+        np.exp(t, out=t)
+        np.subtract(acc, t, out=acc)
     np.clip(acc, 0.0, 1.0, out=acc)
+    if vmax >= v_floor:
+        acc[inv_v <= 1.0 / v_floor] = 0.0
 
 
 def _double_bridge_knockout(x, lower, upper, inv_v, w):

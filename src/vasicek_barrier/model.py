@@ -191,8 +191,7 @@ def integrated_variance(t0, t1, tau: float, p: VasicekParams):
     return out if out.ndim else float(out)
 
 
-def bond_price_from_ode(r: float, t: float, tau: float, p: VasicekParams,
-                        rtol: float = 1e-12) -> float:
+def bond_price_from_ode(r: float, t: float, tau: float, p: VasicekParams) -> float:
     """Bond price via numerical integration of the affine ODE system.
 
     Solves B' = a*B - 1 and f' = a*theta*B - sigma2^2*B^2/2 backwards from
@@ -209,7 +208,7 @@ def bond_price_from_ode(r: float, t: float, tau: float, p: VasicekParams,
         B, _ = y
         return [p.a * B - 1.0, p.a * p.theta * B - 0.5 * p.sigma2**2 * B * B]
 
-    sol = solve_ivp(rhs, (tau, t), [0.0, 0.0], rtol=rtol, atol=1e-14,
+    sol = solve_ivp(rhs, (tau, t), [0.0, 0.0], rtol=1e-12, atol=1e-14,
                     dense_output=False, method="RK45")
     if not sol.success:
         raise RuntimeError(f"bond ODE integration failed: {sol.message}")

@@ -153,7 +153,8 @@ class _Valuation:
 
     def __init__(self, spec: OptionSpec, p: VasicekParams, rate: float, time: float):
         self.spec, self.p, self.time = spec, p, time
-        with np.errstate(over="ignore"):  # an overflow is reported by log_forward
+        # an overflow, or log A as inf - inf, is reported by log_forward
+        with np.errstate(over="ignore", invalid="ignore"):
             self.disc = bond_price(rate, time, spec.maturity, p)
 
     @cached_property

@@ -4,8 +4,11 @@ The independent check on the closed forms in `pricer`.  It maps spot to the
 log forward and accumulates the variance as the pricer does, then
 integrates `barrier_kernel` or `double_barrier_kernel` against the call
 payoff with `quadrature.integrate` instead of using the reflection formula
-or the integrated sine series.  `verify` and the tests hold the production
-prices to this result; nothing on the production path calls it.
+or the integrated sine series.  It has no settings: the kernel's mode count
+follows from v and the width, and the quadrature works to its fixed
+tolerances (1e-10 relative, 1e-12 absolute, 4096 panels).  `verify` and the
+tests hold the production prices to this result; nothing on the production
+path calls it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from .kernels import barrier_kernel, double_barrier_kernel
 from .model import VasicekParams, bond_price, integrated_variance
 from .pricer import MarketState, OptionSpec, PriceResult, log_forward
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import integrate
 
 # The image kernel carries no mass beyond this many standard deviations
 # below the start; the up-and-out domain is clipped there, which changes the
@@ -25,15 +28,16 @@ from .quadrature import QuadratureSpec, integrate
 _TAIL_SDS = 12.0
 
 
-def price_by_quadrature(state: MarketState, spec: OptionSpec, p: VasicekParams,
-                        quad: QuadratureSpec = QuadratureSpec()) -> PriceResult:
+def price_by_quadrature(state: MarketState, spec: OptionSpec,
+                        p: VasicekParams) -> PriceResult:
     """P times the integral of kernel(x, x', v) * (e^{x'} - K) over the payoff region.
 
     The up-and-out integrates `barrier_kernel` over max(ln K, x - v/2 -
     12 sqrt(v)) < x' < B; the corridor integrates `double_barrier_kernel`
     over max(ln K, lower) < x' < upper.  Knock-out and empty-payoff cases
-    price as in `pricer`.  Raises `QuadratureError` when ``quad`` cannot be
-    met.
+    price as in `pricer`.  Raises `QuadratureError` when `integrate` does
+    not converge, and ValueError when the corridor kernel cannot be
+    evaluated at v.
     """
     x = log_forward(state, spec, p)
     lower, upper = spec.walls
@@ -56,5 +60,5 @@ def price_by_quadrature(state: MarketState, spec: OptionSpec, p: VasicekParams,
 
         def kernel(xp):
             return double_barrier_kernel(x, xp, v, lower, upper)
-    val, _ = integrate(lambda xp: kernel(xp) * (np.exp(xp) - spec.strike), lo, upper, quad)
+    val, _ = integrate(lambda xp: kernel(xp) * (np.exp(xp) - spec.strike), lo, upper)
     return PriceResult(disc * val)

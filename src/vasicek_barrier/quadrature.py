@@ -9,7 +9,6 @@ summation so results do not depend on evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,21 +18,11 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
 # Always split this many levels before accepting, so narrow features inside a
 # wide domain cannot slip between the nodes of a single coarse panel.
 _MIN_DEPTH = 4
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and work cap for `integrate`."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_panels: int = 4096
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_panels < 1:
-            raise ValueError("max_panels must be at least 1")
+# A panel is accepted when its error is within max(_ABS_TOL, _REL_TOL * |total|),
+# apportioned by width; a solve that needs more than _MAX_PANELS panels fails.
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-12
+_MAX_PANELS = 4096
 
 
 class QuadratureError(RuntimeError):
@@ -58,9 +47,8 @@ def _rule(f: Callable, a: float, b: float) -> float:
     return value
 
 
-def integrate(f: Callable, lo: float, hi: float,
-              spec: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
-    """Integrate ``f`` over [lo, hi] to the requested tolerance.
+def integrate(f: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """Integrate ``f`` over [lo, hi] to 1e-10 relative or 1e-12 absolute.
 
     Parameters
     ----------
@@ -69,19 +57,17 @@ def integrate(f: Callable, lo: float, hi: float,
         the same shape, finite on [lo, hi].
     lo, hi : float
         Bounds with lo <= hi.
-    spec : QuadratureSpec
-        Tolerances and the panel budget.
 
     Returns
     -------
     (value, err_estimate) : tuple of float
         err_estimate sums the per-panel coarse-vs-refined discrepancies and
-        satisfies err_estimate <= max(abs_tol, rel_tol * |value|).
+        satisfies err_estimate <= max(1e-12, 1e-10 * |value|).
 
     Raises
     ------
     QuadratureError
-        If the tolerance is not met within ``spec.max_panels`` panels, in
+        If the tolerance is not met within 4096 panels, in
         which case the exception carries the best estimate obtained, or at
         the first panel where the integrand is not finite.
     """
@@ -107,18 +93,18 @@ def integrate(f: Callable, lo: float, hi: float,
         refined = left + right
         total += refined - coarse
         err = abs(coarse - refined)
-        tol_here = max(spec.abs_tol, spec.rel_tol * abs(total)) * (b - a) / width
+        tol_here = max(_ABS_TOL, _REL_TOL * abs(total)) * (b - a) / width
         if depth >= _MIN_DEPTH and err <= tol_here:
             accepted_lhs.append(a)
             accepted_vals.append(refined)
             accepted_errs.append(err)
             continue
         n_panels += 1
-        if n_panels > spec.max_panels:
+        if n_panels > _MAX_PANELS:
             best = total
             err_best = err + float(np.sum(accepted_errs)) if accepted_errs else err
             raise QuadratureError(
-                f"no convergence within {spec.max_panels} panels over [{lo}, {hi}]",
+                f"no convergence within {_MAX_PANELS} panels over [{lo}, {hi}]",
                 estimate=best, err_estimate=err_best)
         stack.append((a, mid, left, depth + 1))
         stack.append((mid, b, right, depth + 1))

@@ -57,10 +57,16 @@ class TestPriceCommand:
         assert code == 1
         assert "barrier" in err
 
-    def test_explosive_model_is_a_pricing_error(self, capsys):
-        code, out, err = run(capsys, "price", "--a=-2", "--maturity", "30")
+    # the bond overflows at a = -2 over 30 years; at a = -80 over 10 years
+    # log A is inf - inf
+    @pytest.mark.parametrize("a, maturity", [("-2", "30"), ("-80", "10")])
+    def test_explosive_model_is_a_pricing_error(self, capsys, a, maturity):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way to the error
+            code, out, err = run(capsys, "price", f"--a={a}", "--maturity", maturity)
         assert code == 5 and out == ""
-        assert err.startswith("error: ") and "a=-2.0" in err and "maturity 30.0" in err
+        assert err.startswith("error: ") and f"a={float(a)!r}" in err
+        assert f"maturity {float(maturity)!r}" in err and len(err.splitlines()) == 1
 
     def test_overflowing_barrier_level_is_a_pricing_error(self, capsys):
         code, out, err = run(capsys, "price", "--barrier", "1500")
@@ -251,14 +257,15 @@ class TestVerifyCommand:
                    for line in lines)
         assert any(line.startswith("FAIL") and "ode" in line for line in lines)
 
-    def test_explosive_model_fails_before_any_check(self, capsys):
+    @pytest.mark.parametrize("a, maturity", [("-2", "30"), ("-80", "10")])
+    def test_explosive_model_fails_before_any_check(self, capsys, a, maturity):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no overflow on the way to the error
-            code, out, err = run(capsys, "verify", "--a=-2", "--maturity", "30",
+            warnings.simplefilter("error")  # no numpy warning on the way to the error
+            code, out, err = run(capsys, "verify", f"--a={a}", "--maturity", maturity,
                                  "--paths", "1000", "--steps", "4")
         assert code == 5 and out == ""
-        assert err.startswith("error: ") and "a=-2.0" in err and "maturity 30.0" in err
-        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and f"a={float(a)!r}" in err
+        assert f"maturity {float(maturity)!r}" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("closed_form, checks", [
         ("knockout_call_forward", ["constant-rate closed-form reduction",
@@ -290,6 +297,17 @@ class TestVerifyCommand:
             assert verdicts[name] == "PASS", out
         oracle_failures = [line for line in lines if "oracle cannot evaluate" in line]
         assert oracle_failures and all(line.startswith("FAIL") for line in oracle_failures)
+
+    def test_one_step_corridor_much_narrower_than_its_variance_passes_its_mc_check(
+            self, capsys):
+        # a corridor 0.05 wide at one step of variance 0.138 (v / L^2 = 55):
+        # every path's stay probability is below 2^-57, as the closed form's
+        # 7.5e-119 requires
+        code, out, _ = run(capsys, "verify", "--spot", "98", "--barrier-low", "4.6",
+                           "--barrier-high", "4.65", "--paths", "20000", "--steps", "1",
+                           "--seed", "3")
+        verdicts = {line[6:48].strip(): line for line in out.splitlines()}
+        assert verdicts["double barrier vs forward-measure mc"].startswith("PASS"), out
 
 
 def _estimate(mean, std_error, n_paths=1000):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vasicek_barrier import (SeriesTruncation, SeriesTruncationError,
-                             barrier_kernel, double_barrier_kernel,
-                             free_kernel, series_terms)
+from vasicek_barrier import barrier_kernel, double_barrier_kernel, free_kernel, series_terms
+from vasicek_barrier.kernels import _SERIES_TOL
 
 B_LOW = math.log(100.0)
 B_UP = math.log(130.0)
@@ -133,34 +132,32 @@ class TestDoubleBarrierKernel:
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-300)
 
     def test_non_negative_within_tolerance(self):
-        trunc = SeriesTruncation()
         x = 0.5 * (B_LOW + B_UP)
         xp = np.linspace(B_LOW, B_UP, 101)
-        vals = double_barrier_kernel(x, xp, 0.02, B_LOW, B_UP, trunc)
-        assert np.all(vals >= -trunc.tol)
+        vals = double_barrier_kernel(x, xp, 0.02, B_LOW, B_UP)
+        assert np.all(vals >= -_SERIES_TOL)
 
     def test_truncation_insensitivity(self):
-        # squaring the tolerance moves the kernel by less than the original
-        # tolerance anywhere in the corridor
+        # twice the modes moves the kernel by less than the series tolerance
+        # times the prefactor's largest value, e^{L/2}, anywhere in the corridor
         rng = np.random.default_rng(6)
-        tol = 1e-10
-        coarse = SeriesTruncation(tol=tol)
-        fine = SeriesTruncation(tol=tol * tol)
+        width = B_UP - B_LOW
         for _ in range(100):
             x, xp = rng.uniform(B_LOW, B_UP, 2)
             v = rng.uniform(0.005, 0.5)
-            delta = abs(double_barrier_kernel(x, xp, v, B_LOW, B_UP, coarse)
-                        - double_barrier_kernel(x, xp, v, B_LOW, B_UP, fine))
-            assert delta < tol
+            pn = np.pi * np.arange(1, 2 * series_terms(v, B_LOW, B_UP) + 1) / width
+            modes = np.exp(-0.5 * pn * pn * v) * np.sin(pn * (x - B_LOW)) \
+                * np.sin(pn * (xp - B_LOW))
+            fine = math.exp(0.5 * (x - xp) - v / 8.0) * (2.0 / width) * math.fsum(modes)
+            delta = abs(double_barrier_kernel(x, xp, v, B_LOW, B_UP) - fine)
+            assert delta < _SERIES_TOL * math.exp(0.5 * width)
 
-    def test_term_budget_error_carries_bound(self):
-        with pytest.raises(SeriesTruncationError) as info:
-            series_terms(1e-8, B_LOW, B_UP, SeriesTruncation(tol=1e-12, max_terms=10))
-        assert info.value.achieved_bound > 1e-12
-        assert isinstance(info.value, ValueError)
-        with pytest.raises(SeriesTruncationError):
-            double_barrier_kernel(4.7, 4.72, 1e-8, B_LOW, B_UP,
-                                  SeriesTruncation(tol=1e-12, max_terms=10))
+    def test_term_budget_error_names_the_variance(self):
+        # at v = 1e-12 the series needs about 6e5 modes, past the fixed cap
+        with pytest.raises(ValueError, match=r"v=1e-12 needs more than 100000 modes"):
+            series_terms(1e-12, B_LOW, B_UP)
+        with pytest.raises(ValueError, match=r"v=1e-12"):
+            double_barrier_kernel(4.7, 4.72, 1e-12, B_LOW, B_UP)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

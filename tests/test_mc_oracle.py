@@ -207,7 +207,8 @@ def dense_weights(x, lower, upper, inv_v):
 
     The reference for the monitor, which evaluates only the steps near a
     wall.  Each factor is computed in the monitor's order of operations, so
-    the two differ only in the order of each row's product.
+    the two differ only in the order of each row's product.  It sums images
+    |k| <= 10, more than any grid it is given needs.
     """
     left, right = x[:, :-1], x[:, 1:]
     knocked = (right >= upper).any(axis=1) | (right <= lower).any(axis=1)
@@ -288,6 +289,34 @@ class TestBridgeScreen:
         assert w[0] < 1.0 and w[1] == 1.0
         np.testing.assert_allclose(w, dense_weights(x, lower, B_UP, inv_v),
                                    rtol=1e-14, atol=0.0)
+
+
+class TestCorridorStaySeries:
+    # (a, b, v) on the corridor [0, 1]: from a short step near a wall to
+    # steps whose variance is many times the squared width
+    CASES = [(0.05, 0.08, 0.01), (0.2, 0.6, 0.3), (0.5, 0.4, 2.0), (0.5, 0.5, 5.0),
+             (0.5, 0.5, 8.0), (0.1, 0.9, 9.0), (0.5, 0.5, 28.0)]
+
+    @pytest.mark.parametrize("a, b, v", CASES)
+    def test_matches_the_sine_series(self, a, b, v):
+        # the corridor heat kernel over the free one, by its sine eigenmodes
+        pn = np.pi * np.arange(1, 201)
+        modes = np.exp(-0.5 * pn * pn * v) * np.sin(pn * a) * np.sin(pn * b)
+        want = math.sqrt(2.0 * math.pi * v) * math.exp((b - a) ** 2 / (2.0 * v)) \
+            * 2.0 * math.fsum(modes)
+        acc = np.empty(1)
+        mc_oracle._corridor_stay_prob_into(acc, np.array([a]), np.array([b]), 0.0, 1.0,
+                                           np.array([1.0 / v]))
+        assert acc[0] == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+    def test_a_step_far_wider_than_the_corridor_stays_below_2_to_the_minus_57(self):
+        # v / L^2 = 28: each stay probability is below 3e-59, which images
+        # |k| <= 10 alone put near 1e-4
+        left, right = np.array([0.5, 0.3, 0.9, 0.01]), np.array([0.5, 0.6, 0.1, 0.99])
+        acc = np.empty(4)
+        mc_oracle._corridor_stay_prob_into(acc, 4.6 + 0.05 * left, 4.6 + 0.05 * right,
+                                           4.6, 4.65, np.full(4, 1.0 / (28.0 * 0.05**2)))
+        assert np.all((acc >= 0.0) & (acc <= 2.0**-57))
 
 
 class TestMonitorContract:

@@ -66,6 +66,79 @@ def test_corridor_below_up_and_out_below_vanilla(p, tau, spot, strike, upper, wi
     assert single <= capped + slack
 
 
+def _bond(p, tau):
+    """P(r0, 0; tau), or None for a model that explodes over tau."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = bond_price(p.r0, 0.0, tau, p)
+    return disc if 0.0 < disc < math.inf else None
+
+
+def _option(strike, tau, lower, upper):
+    return (OptionSpec.single_up(strike, tau, upper) if lower == -math.inf
+            else OptionSpec.double(strike, tau, lower, upper))
+
+
+@derandomized(150)
+@given(p=params, tau=maturities, strike=st.floats(60.0, 140.0),
+       upper=st.floats(math.log(95.0), math.log(170.0)), width=st.floats(0.01, 1.5),
+       wall=st.sampled_from(["up-and-out", "corridor lower", "corridor upper"]),
+       depth=st.floats(1e-9, 1e-3))
+def test_price_tends_to_zero_at_each_wall(p, tau, strike, upper, width, wall, depth):
+    # a start d from a wall survives it, with the forward's drift -1/2 in
+    # variance time, with probability at most d (1 + sqrt(2 / (pi v))), and a
+    # surviving path pays less than e^u
+    disc = _bond(p, tau)
+    if disc is None:
+        return
+    lower = -math.inf if wall == "up-and-out" else upper - width
+    v = integrated_variance(0.0, tau, tau, p)
+    d = depth * math.sqrt(v)
+    x = lower + d if wall == "corridor lower" else upper - d
+    got = price(MarketState(spot=disc * math.exp(x), rate=p.r0),
+                _option(strike, tau, lower, upper), p).price
+    bound = disc * math.exp(upper) * d * (1.0 + math.sqrt(2.0 / (math.pi * v)))
+    slack = 1e-12 * disc * math.exp(upper)
+    assert -slack <= got <= bound + slack
+
+
+@derandomized(150)
+@given(p=params, tau=maturities, strike=st.floats(60.0, 140.0),
+       upper=st.floats(math.log(95.0), math.log(170.0)), width=st.floats(0.01, 1.5),
+       at=st.floats(0.02, 0.98), raise_by=st.floats(0.0, 0.5), lower_by=st.floats(0.0, 0.5),
+       corridor=st.booleans())
+def test_price_is_monotone_in_each_barrier_level(p, tau, strike, upper, width, at,
+                                                 raise_by, lower_by, corridor):
+    disc = _bond(p, tau)
+    if disc is None:
+        return
+    lower = upper - width if corridor else -math.inf
+    state = MarketState(spot=disc * math.exp(upper - at * width), rate=p.r0)
+
+    def value(lo, hi):
+        return price(state, _option(strike, tau, lo, hi), p).price
+
+    here = value(lower, upper)
+    slack = 1e-12 * disc * math.exp(upper + raise_by)
+    assert here <= value(lower, upper + raise_by) + slack
+    assert here <= value(lower - lower_by, upper) + slack
+
+
+@derandomized(150)
+@given(p=params, tau=maturities, strike=st.floats(60.0, 140.0), more=st.floats(0.0, 40.0),
+       upper=st.floats(math.log(95.0), math.log(170.0)), width=st.floats(0.01, 1.5),
+       at=st.floats(0.02, 0.98), corridor=st.booleans())
+def test_price_is_non_increasing_in_the_strike(p, tau, strike, more, upper, width, at,
+                                               corridor):
+    disc = _bond(p, tau)
+    if disc is None:
+        return
+    lower = upper - width if corridor else -math.inf
+    state = MarketState(spot=disc * math.exp(upper - at * width), rate=p.r0)
+    low_strike = price(state, _option(strike, tau, lower, upper), p).price
+    high_strike = price(state, _option(strike + more, tau, lower, upper), p).price
+    assert high_strike <= low_strike + 1e-12 * disc * math.exp(upper)
+
+
 @derandomized(100)
 @given(tau=maturities, spot=st.floats(80.0, 125.0), strike=st.floats(60.0, 125.0),
        depth=st.floats(40.0, 200.0))
