@@ -411,13 +411,24 @@ def _oracle_failure(exc: Exception) -> tuple[bool, str]:
     return False, f"oracle cannot evaluate these inputs: {type(exc).__name__}: {exc}"
 
 
+def _mc_oracle_check(analytic: float, estimate, payoff_cap: float) -> tuple[bool, str]:
+    """`_mc_check` of the estimate ``estimate()``, or the failure of an MC
+    oracle that cannot evaluate the inputs (paths past the float range)."""
+    try:
+        est = estimate()
+    except ValueError as exc:
+        return _oracle_failure(exc)
+    return _mc_check(analytic, est, payoff_cap)
+
+
 def _verify_checks(cfg: JobConfig):
     """Yield (name, passed, detail) for each oracle cross-check.
 
     A model that cannot be valued over the maturity (an explosive bond
     price) raises its ValueError before the first check.  An oracle that
     cannot evaluate the inputs (a corridor kernel past its mode budget, a
-    quadrature past its panel budget) fails its own check by name.
+    quadrature past its panel budget, MC paths past the float range) fails
+    its own check by name.
     """
     p = cfg.params
     tau = cfg.maturity
@@ -427,9 +438,9 @@ def _verify_checks(cfg: JobConfig):
     pricer.log_forward(state, single, p)  # raises on an explosive model, by name
 
     analytic_bond = model.bond_price(p.r0, 0.0, tau, p)
-    est = mc_oracle.bond_mc(p.r0, tau, p, mc_cfg)
-    passed, detail = _mc_check(analytic_bond, est, payoff_cap=1.0)
-    yield ("bond vs monte carlo", passed, detail)
+    yield ("bond vs monte carlo",
+           *_mc_oracle_check(analytic_bond, lambda: mc_oracle.bond_mc(p.r0, tau, p, mc_cfg),
+                             payoff_cap=1.0))
 
     ode_bond = model.bond_price_from_ode(p.r0, 0.0, tau, p)
     rel = abs(analytic_bond - ode_bond) / abs(ode_bond)
@@ -440,18 +451,16 @@ def _verify_checks(cfg: JobConfig):
     cap_single = max(math.exp(cfg.barrier) - cfg.strike, 0.0)
     for label, fn in (("forward-measure mc", mc_oracle.price_barrier_mc),
                       ("two-factor mc", mc_oracle.price_barrier_mc_two_factor)):
-        est = fn(state, single, p, mc_cfg)
-        passed, detail = _mc_check(ana_s, est, payoff_cap=cap_single)
-        yield (f"single barrier vs {label}", passed, detail)
+        yield (f"single barrier vs {label}",
+               *_mc_oracle_check(ana_s, lambda: fn(state, single, p, mc_cfg), cap_single))
 
     low = cfg.barrier_low if cfg.barrier_low is not None else math.log(100.0)
     high = cfg.barrier_high if cfg.barrier_high is not None else cfg.barrier
     double = pricer.OptionSpec.double(cfg.strike, tau, low, high)
     ana_d = pricer.price_double_barrier(state, double, p).price
-    est = mc_oracle.price_barrier_mc(state, double, p, mc_cfg)
-    passed, detail = _mc_check(ana_d, est,
-                               payoff_cap=max(math.exp(high) - cfg.strike, 0.0))
-    yield ("double barrier vs forward-measure mc", passed, detail)
+    yield ("double barrier vs forward-measure mc",
+           *_mc_oracle_check(ana_d, lambda: mc_oracle.price_barrier_mc(state, double, p, mc_cfg),
+                             max(math.exp(high) - cfg.strike, 0.0)))
 
     worst = 0.0
     const = model.VasicekParams(a=p.a, theta=p.r0, sigma1=p.sigma1, sigma2=0.0,

@@ -31,29 +31,34 @@ only on steps near a wall (`_weigh_near_walls`); on every other step
 1 - p_j rounds to exactly 1.0.
 
 Antithetic pairs: a block of m paths draws normals for its first
-h = ceil(m/2) paths only, and path h + i replays path i with every normal
-negated (`_antithetic_normals`; the two-factor estimator mirrors both of its
-normal sets on the same rows).  The mean is taken over all paths; the
-standard error over units, each pair (i, h + i) one unit and the unpaired
-row h - 1 of an odd block a unit of its own (`_payoff_stats`, `_reduce`).
-With only pairs it is the sample standard deviation of the pair means over
-the square root of the number of pairs.  Pairs are unbiased and halve the
-draws (Glasserman 2004, §4.2).
+h = ceil(m/2) paths only, and path h + i is the antithetic partner of path
+i, the path of its normals negated (the two-factor estimator negates both
+of its normal sets).  Every builder is affine in its normals, so that
+partner is the reflection 2 x0 - x_i about the zero-noise path x0:
+`_simulate` builds x0 once per call and writes rows h.. of each block as
+reflections, so the builders do their per-step arithmetic on the drawn rows
+alone.  The mean is taken over all paths; the standard error over units,
+each pair (i, h + i) one unit and the unpaired row h - 1 of an odd block a
+unit of its own (`_payoff_stats`, `_reduce`).  With only pairs it is the
+sample standard deviation of the pair means over the square root of the
+number of pairs.  Pairs are unbiased and halve the draws (Glasserman 2004,
+§4.2).
 
 Determinism contract: paths are generated in fixed blocks of 2**11 using the
 SFC64 generator keyed by (seed, block index).  Each block draws only
-normals, for its first h rows, laid out path-major, and row h + i is
-bitwise the negation of row i, so the random numbers consumed by (path i,
-step j) depend only on the seed.  Each path's weight is a function of its
-own path.  Blocks run on one thread per usable core, at most one per block
-(`_workers`).  Each block's partial sums are kept by block index and
-combined in block order with pairwise summation, so estimates are
-bit-identical across runs and across thread counts for identical
-(seed, n_paths, n_steps).
+normals, for its first h rows, laid out path-major, so the random numbers
+consumed by (path i, step j) depend only on the seed; row h + i is a
+function of row i and the zero-noise path.  Each path's weight is a
+function of its own path.  Blocks run on one thread per usable core, at
+most one per block (`_workers`).  Each block's partial sums are kept by
+block index and combined in block order with pairwise summation, so
+estimates are bit-identical across runs and across thread counts for
+identical (seed, n_paths, n_steps).
 
 The inner loops write into buffers that each thread allocates once; at the
-default resolution one array is 8 MB (2**11 paths x 512 steps), and avoiding
-temporaries roughly triples throughput.
+default resolution a path array is 8 MB (2**11 paths x 512 steps) and the
+arrays of the drawn rows half that, and avoiding temporaries roughly
+triples throughput.
 """
 
 from __future__ import annotations
@@ -65,8 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (VasicekParams, b_factor, bond_price, integrated_variance,
-                    log_bond_price)
+from .model import VasicekParams, b_factor, integrated_variance, log_bond_price
 from .pricer import MarketState, OptionSpec, log_forward
 
 BRIDGE = "bridge_corrected"
@@ -87,6 +91,9 @@ _FLOOR_MODE = 50.0
 # exp() off its near-underflow slow path, which is two orders of magnitude
 # slower on this libm.
 _EXP_FLOOR = -700.0
+# The OU paths scale by decay^{+-j}, up to e^{|a| tau}; past e^700 the
+# cumulative sum can leave the float range (max ~ e^709.8).
+_OU_RANGE = 700.0
 
 
 @dataclass(frozen=True)
@@ -139,13 +146,19 @@ def _blocks(n_paths: int):
         index += 1
 
 
-def _antithetic_normals(rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
-    """Fill z (m, n) with normals drawn for its first ceil(m/2) rows; row h + i = -row i."""
-    m = z.shape[0]
-    h = m - m // 2
-    rng.standard_normal(out=z[:h])
-    np.negative(z[:m - h], out=z[h:])
-    return z
+def _drawn(m):
+    """Rows of a block of m paths built from drawn normals: h = ceil(m/2)."""
+    return m - m // 2
+
+
+class _Zeros:
+    """Stands in for a block's generator with every normal 0: a builder run
+    on it returns the zero-noise path."""
+
+    @staticmethod
+    def standard_normal(*, out):
+        out.fill(0.0)
+        return out
 
 
 def _reduce(stats: list, sizes: np.ndarray, n_steps: int, seed: int) -> MCEstimate:
@@ -163,33 +176,42 @@ def _reduce(stats: list, sizes: np.ndarray, n_steps: int, seed: int) -> MCEstima
     shift = sums / sizes - mean
     size2 = 2 * sizes - sizes % 2  # sum_k n_k^2: pairs, and one single if m is odd
     dev = float(np.sum(dev2 + shift * (2.0 * dev1 + shift * size2)))
-    units = int(np.sum(sizes - sizes // 2))
+    units = int(np.sum(_drawn(sizes)))
     var = dev / (units - 1) * units / n / n if units > 1 else 0.0
     return MCEstimate(mean=mean, std_error=math.sqrt(var), n_paths=n,
                       n_steps=n_steps, seed=seed)
 
 
 class _Buffers:
-    """Block scratch arrays by name, each allocated once at full block size.
+    """Block scratch arrays by name, each allocated once.
 
     ``buf(name, m)`` returns the first m rows of a (rows, n_steps + extra)
     array, and ``buf.column(name, m)`` the first m entries of a (rows,)
-    vector, so a partial final block reuses the same memory.
+    vector: a block's paths.  ``buf.drawn(name, m)`` returns the first
+    ceil(m/2) rows of a (ceil(rows/2), n_steps + extra) array: the normals
+    and the work on the rows built from them.  A partial final block reuses
+    the same memory.
     """
 
-    def __init__(self, rows: int, n_steps: int):
+    def __init__(self, rows: int, n_steps: int, dtype=float):
         self._shape = (rows, n_steps)
+        self._dtype = dtype
         self._arrays: dict[str, np.ndarray] = {}
 
     def _array(self, name: str, shape: tuple) -> np.ndarray:
         a = self._arrays.get(name)
         if a is None:
-            a = self._arrays[name] = np.empty(shape)
+            a = self._arrays[name] = np.empty(shape, self._dtype)
         return a
 
     def __call__(self, name: str, m: int, extra: int = 0) -> np.ndarray:
         rows, n = self._shape
         return self._array(name, (rows, n + extra))[:m]
+
+    def drawn(self, name: str, m: int, extra: int = 0) -> np.ndarray:
+        """The first ceil(m/2) rows of an array with one row per drawn path."""
+        rows, n = self._shape
+        return self._array(name, (_drawn(rows), n + extra))[:_drawn(m)]
 
     def column(self, name: str, m: int) -> np.ndarray:
         """The first m entries of a vector with one entry per row."""
@@ -209,14 +231,26 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
               walls: _Walls | None = None) -> MCEstimate:
     """Run every block through ``build``, the knock monitor and the payoff.
 
-    ``build(rng, buf, m)`` draws one block's antithetic normals from ``rng``
-    (`_antithetic_normals`) into buffers taken from ``buf`` and returns
-    (x, log_pay, scale): the monitored log-forward paths (m, n+1), the log
-    of the payoff variable at maturity, and the per-path or common discount
-    factor.  Paths pay
-    (e^log_pay - strike)^+ * scale, times their bridge survival weight, and
-    0 where ``walls`` knocks them out on the grid; with no walls nothing is
-    monitored.
+    ``build(rng, buf, m)`` builds the first h = ceil(m/2) paths of a block
+    of m from normals drawn from ``rng``, in buffers taken from ``buf``, and
+    returns (x, log_disc): the paths x (m, k), whose last column is the log
+    of the payoff variable at maturity, and the log discount factor, per
+    path (m,) or common to all.  Paths pay
+    (e^{x_T} - strike)^+ * e^log_disc, times their bridge survival weight,
+    and 0 where ``walls`` knocks them out on the grid; with no walls nothing
+    is monitored.
+
+    Antithetic pairs by reflection: every builder is affine in its normals,
+    so the path driven by the negated normals of path i is 2 x0 - x_i, where
+    x0 is the path driven by zero normals.  ``build`` runs once on `_Zeros`,
+    in extended precision, for x0, and each block's row h + i becomes
+    2 x0 - row i, in x and in a per-path log discount (before its exp).
+    The unpaired row h - 1 of an odd block stays as built.
+
+    Float range: the block arithmetic runs with numpy's overflow and
+    invalid-value warnings off, and a block whose payoff moments are not
+    finite raises a ValueError instead, so a model whose paths leave the
+    float range fails by name instead of returning NaN.
 
     Blocks run on `_workers` threads, each with its own buffers; numpy
     releases the interpreter lock inside its fills and ufuncs.  The
@@ -228,19 +262,33 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
     blocks = list(_blocks(cfg.n_paths))
     rows = min(_BLOCK, cfg.n_paths)
     local = threading.local()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # 2 x0; extended precision keeps the rounding of x0's cumulative
+        # sums, about 1e-13 over 512 steps, from biasing every reflected row
+        twice = [np.asarray(2.0 * a[0], dtype=float) if np.ndim(a) else None
+                 for a in build(_Zeros(), _Buffers(1, n, np.longdouble), 1)]
 
     def run(block):
         index, m = block
         if not hasattr(local, "buf"):
             local.buf = _Buffers(rows, n)
-        rng = _block_rng(cfg.seed, index)
-        x, log_pay, scale = build(rng, local.buf, m)
-        if walls is None:
-            return _payoff_stats(log_pay, strike, None, scale)
-        knocked, weight = walls.knock(x, local.buf, m)
-        if weight is not None:
-            scale = np.multiply(weight, scale, out=weight)
-        return _payoff_stats(log_pay, strike, knocked, scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, log_disc = build(_block_rng(cfg.seed, index), local.buf, m)
+            h = _drawn(m)
+            for paths, mirror in zip((x, log_disc), twice):
+                if mirror is not None:
+                    np.subtract(mirror, paths[:m - h], out=paths[h:])
+            scale = np.exp(log_disc)
+            knocked = None
+            if walls is not None:
+                knocked, weight = walls.knock(x, local.buf, m)
+                if weight is not None:
+                    scale = np.multiply(weight, scale, out=weight)
+            stats = _payoff_stats(x[:, -1], strike, knocked, scale)
+        if not np.isfinite(stats).all():
+            raise ValueError(f"the payoffs of block {index} are not finite (sum "
+                             f"{float(stats[0])!r}): the simulated paths leave the float range")
+        return stats
 
     pool = ThreadPoolExecutor(_workers(len(blocks)))
     try:
@@ -263,9 +311,15 @@ def _ou_paths_into(r: np.ndarray, z: np.ndarray, work: np.ndarray, r0: float,
 
     Uses r_j = theta + decay^j * (r0 - theta + shock * sum_{k<j} decay^{-k-1} z_k),
     which turns the step recursion into one cumulative sum.  ``work`` is an
-    (m, n) scratch buffer; z is left untouched.
+    (m, n) scratch buffer; z is left untouched.  decay^{+-n} = e^{-+a tau}
+    must stay in the float range, so |a| tau past _OU_RANGE raises a
+    ValueError naming a.
     """
     n = z.shape[1]
+    if abs(p.a) * dt * n > _OU_RANGE:
+        raise ValueError(f"a={p.a!r} over {dt * n:g} years: the OU paths need "
+                         f"e^(|a| tau) = e^{abs(p.a) * dt * n:.4g}, past the float "
+                         f"range (|a| tau <= {_OU_RANGE:g})")
     decay, shock = _ou_step_coeffs(dt, p)
     j = np.arange(1, n + 1)
     np.multiply(z, decay**(-j), out=work)
@@ -275,12 +329,11 @@ def _ou_paths_into(r: np.ndarray, z: np.ndarray, work: np.ndarray, r0: float,
     np.add(work, p.theta + decay**j * (r0 - p.theta), out=r[:, 1:])
 
 
-def _log_discount(r: np.ndarray, dt: float) -> np.ndarray:
-    """-integral of r dt per path, trapezoidal rule over the grid."""
-    integral = r[:, 1:-1].sum(axis=1)
-    integral += 0.5 * (r[:, 0] + r[:, -1])
-    integral *= -dt
-    return integral
+def _log_discount_into(out: np.ndarray, r: np.ndarray, dt: float) -> None:
+    """Fill out with -integral of r dt per path, trapezoidal rule over the grid."""
+    r[:, 1:-1].sum(axis=1, out=out)
+    out += 0.5 * (r[:, 0] + r[:, -1])
+    out *= -dt
 
 
 def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimate:
@@ -288,15 +341,18 @@ def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimat
 
     Uses the exact OU transition per step and trapezoidal accumulation of
     the rate integral.  The bond is the block loop's payoff struck at zero
-    on the log discount, with no barrier.
+    on the log discount, a one-column path, with no barrier.
     """
     n = math.ceil(tau * cfg.n_steps)
     dt = tau / n
 
     def build(rng, buf, m):
-        z, r, work = _antithetic_normals(rng, buf("z", m)), buf("r", m, 1), buf("work", m)
+        z, r, work = buf.drawn("z", m), buf.drawn("r", m, 1), buf.drawn("work", m)
+        log_disc = buf.column("log_disc", m)
+        rng.standard_normal(out=z)
         _ou_paths_into(r, z, work, r0, dt, p)
-        return None, _log_discount(r, dt), 1.0
+        _log_discount_into(log_disc[:z.shape[0]], r, dt)
+        return log_disc[:, None], 0.0
     return _simulate(cfg, n, build, 0.0)
 
 
@@ -469,7 +525,7 @@ def _payoff_stats(x_final, strike, knocked, scale):
         pay[knocked] = 0.0
     pay *= scale
     m = pay.size
-    h = m - m // 2
+    h = _drawn(m)
     total = pay.sum()
     mu = total / m
     dev = pay[:m - h] + pay[h:]
@@ -488,7 +544,9 @@ def _option_mc(state: MarketState, spec: OptionSpec, p: VasicekParams, cfg: MCCo
     ``paths(x0, grid, v)`` returns the estimator's block builder for
     `_simulate`, given the start x0 of the log forward, the time grid and
     its per-step forward variances v.  A start outside the barrier region
-    returns the knocked-out estimate (0, 0).
+    returns the knocked-out estimate (0, 0).  A negative step variance (the
+    closed form's cancellation at some small |a|) raises a ValueError naming
+    a.
     """
     x0 = log_forward(state, spec, p)
     lower, upper = spec.walls
@@ -497,6 +555,9 @@ def _option_mc(state: MarketState, spec: OptionSpec, p: VasicekParams, cfg: MCCo
         return MCEstimate(0.0, 0.0, cfg.n_paths, n, cfg.seed)
     grid = np.linspace(state.time, spec.maturity, n + 1)
     v = integrated_variance(grid[:-1], grid[1:], spec.maturity, p)
+    if not np.all(v >= 0.0):
+        raise ValueError(f"a={p.a!r}: integrated_variance gives a step variance of "
+                         f"{v.min():.3g} on the {n}-step grid, below 0")
     walls = _Walls(lower, upper, 1.0 / v, cfg.monitoring == BRIDGE)
     return _simulate(cfg, n, paths(x0, grid, v), spec.strike, walls)
 
@@ -512,17 +573,19 @@ def price_barrier_mc(state: MarketState, spec: OptionSpec, p: VasicekParams,
     knocked-out estimate (0, 0).
     """
     def forward_paths(x0, grid, v):
-        disc = bond_price(state.rate, state.time, spec.maturity, p)
+        log_disc = log_bond_price(state.rate, state.time, spec.maturity, p)
         sd = np.sqrt(v)
 
         def build(rng, buf, m):
-            z, x = _antithetic_normals(rng, buf("z", m)), buf("x", m, 1)
+            z, x = buf.drawn("z", m), buf("x", m, 1)
+            rng.standard_normal(out=z)
+            h = z.shape[0]
             np.multiply(z, sd, out=z)
             np.subtract(z, 0.5 * v, out=z)  # z now holds the x-increments
             z[:, 0] += x0  # so the cumulative sum starts from x0
-            np.cumsum(z, axis=1, out=x[:, 1:])
-            x[:, 0] = x0
-            return x, x[:, -1], disc
+            np.cumsum(z, axis=1, out=x[:h, 1:])
+            x[:h, 0] = x0
+            return x, log_disc
         return build
     return _option_mc(state, spec, p, cfg, forward_paths)
 
@@ -550,14 +613,17 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
         log_s0 = math.log(state.spot)
 
         def build(rng, buf, m):
-            z1 = _antithetic_normals(rng, buf("z", m))
-            z2 = _antithetic_normals(rng, buf("z2", m))
-            work, r, x = buf("work", m), buf("r", m, 1), buf("x", m, 1)
+            z1, z2 = buf.drawn("z", m), buf.drawn("z2", m)
+            rng.standard_normal(out=z1)
+            rng.standard_normal(out=z2)
+            work, r = buf.drawn("work", m), buf.drawn("r", m, 1)
+            h = z1.shape[0]
+            x, log_disc = buf("x", m, 1), buf.column("log_disc", m)
             np.multiply(z2, rho_c, out=z2)
             np.multiply(z1, p.rho, out=work)
             np.add(z2, work, out=z2)
             _ou_paths_into(r, z2, work, state.rate, dt, p)
-            disc_path = np.exp(_log_discount(r, dt))
+            _log_discount_into(log_disc[:h], r, dt)
             # Euler log-stock increments: ((r_j + r_{j+1})/2 - s1^2/2) dt + s1 sqrt(dt) Z1,
             # the drift s1^2/2 dt left to `shift`; the rate term cancels the
             # path discount's, so the discounted stock is an exact martingale
@@ -566,13 +632,13 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
             np.multiply(work, 0.5 * dt, out=work)
             np.add(z1, work, out=z1)
             z1[:, 0] += log_s0  # so the cumulative sum starts from ln S0
-            np.cumsum(z1, axis=1, out=x[:, 1:])
-            x[:, 0] = log_s0
+            np.cumsum(z1, axis=1, out=x[:h, 1:])
+            x[:h, 0] = log_s0
             # switch x to the log forward: x = ln S - ln A + r B
             np.multiply(r, b_fac, out=r)   # r now holds r*B; r itself is done with
-            x += r
-            x -= shift
+            x[:h] += r
+            x[:h] -= shift
             # at maturity B = 0 and shift holds only the drift, so x_T = ln S_T
-            return x, x[:, -1], disc_path
+            return x, log_disc
         return build
     return _option_mc(state, spec, p, cfg, joint_paths)

@@ -298,6 +298,18 @@ class TestVerifyCommand:
         oracle_failures = [line for line in lines if "oracle cannot evaluate" in line]
         assert oracle_failures and all(line.startswith("FAIL") for line in oracle_failures)
 
+    def test_mc_oracle_past_the_float_range_fails_its_own_checks_by_name(self, capsys):
+        # a = 800 over a year: the OU paths need e^800, so the bond and the
+        # two-factor estimators fail by name and the other checks still run
+        code, out, err = run(capsys, "verify", "--a", "800", "--paths", "2000",
+                             "--steps", "16")
+        lines = out.strip().splitlines()
+        assert err == "" and code == 3 and len(lines) == 10
+        failed = {line[6:48].strip(): line for line in lines if line.startswith("FAIL")}
+        assert sorted(failed) == ["bond vs monte carlo", "single barrier vs two-factor mc"]
+        assert all("oracle cannot evaluate" in line and "a=800.0" in line
+                   for line in failed.values())
+
     def test_one_step_corridor_much_narrower_than_its_variance_passes_its_mc_check(
             self, capsys):
         # a corridor 0.05 wide at one step of variance 0.138 (v / L^2 = 55):

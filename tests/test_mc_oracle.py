@@ -94,6 +94,32 @@ class TestBondMC:
             assert z_score(est, self.trapezoid_expectation(0.05, 1.0, REF, steps)) <= 3.0
 
 
+class TestFloatRange:
+    """Paths that leave the float range raise a ValueError by name, not NaN."""
+
+    @staticmethod
+    def model(a):
+        return VasicekParams(**{**REF.__dict__, "a": a})
+
+    def test_ou_paths_past_the_float_range_name_a(self):
+        with pytest.raises(ValueError, match=r"a=-80\.0 over 10 years"):
+            bond_mc(0.05, 10.0, self.model(-80.0), MCConfig(1000, 8, 1))
+        single = OptionSpec.single_up(100.0, 1.0, B_UP)
+        with pytest.raises(ValueError, match=r"a=800\.0 over 1 years"):
+            price_barrier_mc_two_factor(STATE, single, self.model(800.0), MCConfig(1000, 8, 1))
+
+    def test_non_finite_payoffs_raise(self):
+        # |a| tau = 600 stays in range, but the rates grow like e^600
+        with pytest.raises(ValueError, match="payoffs of block 0 are not finite"):
+            bond_mc(0.05, 10.0, self.model(-60.0), MCConfig(1000, 8, 1))
+
+    def test_negative_step_variance_names_a(self):
+        # just above SMALL_A the closed-form integrated variance cancels
+        with pytest.raises(ValueError, match=r"a=1e-06: integrated_variance"):
+            price_barrier_mc(STATE, SINGLE, VasicekParams(1e-6, 0.0, 0.01, 0.14, 1.0, 0.07),
+                             MCConfig(1000, 8, 1))
+
+
 class TestDeterminism:
     def test_bit_identical_repeat(self):
         cfg = MCConfig(n_paths=50_000, n_steps=64, seed=17)
@@ -343,34 +369,65 @@ class TestMonitorContract:
                                                  ("two-factor-corridor", 2), ("bond", 1)])
     def test_each_block_draws_half_its_rows_and_mirrors_the_rest(self, estimator, sets,
                                                                   monkeypatch):
-        draws, mirrored = {}, []
+        # row h + i of a block is the path of row i's normals negated: checked
+        # against the estimator's own builder run on normals negated here
+        draws, builds, built, blocks = {}, [], [], []
 
         class Recording:
             def __init__(self, gen, index):
                 self._gen, self._index = gen, index
 
             def standard_normal(self, *, out):
-                draws.setdefault(self._index, []).append(out.shape)
-                return self._gen.standard_normal(out=out)
+                self._gen.standard_normal(out=out)
+                draws.setdefault(self._index, []).append(out.copy())
+                return out
+
+        class Replay:
+            """Fills one block's recorded normal sets in turn, times ``sign``."""
+
+            def __init__(self, normals, sign):
+                self._normals, self._sign = iter(normals), sign
+
+            def standard_normal(self, *, out):
+                return np.multiply(next(self._normals), self._sign, out=out)
         block_rng = mc_oracle._block_rng
         monkeypatch.setattr(mc_oracle, "_block_rng",
                             lambda seed, index: Recording(block_rng(seed, index), index))
-        antithetic = mc_oracle._antithetic_normals
+        simulate, payoff_stats = mc_oracle._simulate, mc_oracle._payoff_stats
 
-        def recording(rng, z):
-            mirrored.append(antithetic(rng, z).copy())
-            return z
-        monkeypatch.setattr(mc_oracle, "_antithetic_normals", recording)
+        def recording_simulate(cfg, n, build, *args):
+            def recording_build(rng, buf, m):
+                built.append(build(rng, buf, m))
+                return built[-1]
+            builds.append((build, n))
+            return simulate(cfg, n, recording_build, *args)
+
+        def recording_stats(*args):  # the block's paths, after the mirroring
+            blocks.append(tuple(np.array(a, copy=True) for a in built[-1]))
+            return payoff_stats(*args)
+        monkeypatch.setattr(mc_oracle, "_simulate", recording_simulate)
+        monkeypatch.setattr(mc_oracle, "_payoff_stats", recording_stats)
+        monkeypatch.setattr(mc_oracle, "_workers", lambda n_blocks: 1)  # blocks in order
         # a full block and an odd partial one
         cfg = MCConfig(n_paths=mc_oracle._BLOCK + 77, n_steps=32, seed=3)
         ESTIMATORS[estimator](cfg)
-        assert draws == {0: [(mc_oracle._BLOCK // 2, 32)] * sets, 1: [(39, 32)] * sets}
-        assert sorted(z.shape[0] for z in mirrored) == [77] * sets + [mc_oracle._BLOCK] * sets
-        for z in mirrored:
-            m, h = z.shape[0], (z.shape[0] + 1) // 2
-            # bitwise: the sign bit flipped and nothing else
-            bits = z.view(np.uint64)
-            assert np.array_equal(bits[h:], bits[:m - h] ^ np.uint64(1 << 63))
+        shapes = {index: [z.shape for z in normals] for index, normals in draws.items()}
+        assert shapes == {0: [(mc_oracle._BLOCK // 2, 32)] * sets, 1: [(39, 32)] * sets}
+        (build, n), = builds
+        assert [x.shape[0] for x, _ in blocks] == [mc_oracle._BLOCK, 77]
+        for index, (x, log_disc) in enumerate(blocks):
+            m, h = x.shape[0], (x.shape[0] + 1) // 2
+            own = build(Replay(draws[index], 1.0), mc_oracle._Buffers(m, n), m)
+            negated = build(Replay(draws[index], -1.0), mc_oracle._Buffers(m, n), m)
+            for got, drawn, mirror in zip((x, log_disc), own, negated):
+                if got.ndim == 0:  # a discount common to all paths
+                    assert got == drawn == mirror
+                    continue
+                assert np.array_equal(got[:h], drawn[:h])
+                np.testing.assert_allclose(got[h:], mirror[:m - h], rtol=1e-12, atol=0.0)
+            if m % 2:  # row h - 1 is built from its own normals and has no partner
+                assert m - h == h - 1
+                assert np.array_equal(x[h - 1], own[0][h - 1])
 
     def test_a_monitor_that_knocks_every_path_zeroes_the_corridor(self, monkeypatch):
         # the benchmark's over-knocking control: the returned mask, not the

@@ -1,4 +1,4 @@
-"""Properties of the closed-form pricers over random inputs.
+"""Properties of the closed-form pricers and the Monte Carlo oracles over random inputs.
 
 Hypothesis draws the models, contracts and spots; every run is derandomized,
 so CI sees the same cases each time.  A drawn case either prices to a finite
@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vasicek_barrier import (MarketState, OptionSpec, VasicekParams, bond_price,
-                             integrated_variance, log_forward, price, price_by_quadrature,
-                             vanilla_call_forward)
+from vasicek_barrier import (MCConfig, MarketState, OptionSpec, VasicekParams, bond_mc,
+                             bond_price, integrated_variance, log_forward, price,
+                             price_barrier_mc, price_barrier_mc_two_factor,
+                             price_by_quadrature, vanilla_call_forward)
 from vasicek_barrier.pricer import _image_sum, _sine_sum, series_counts
 
 REF = VasicekParams(a=1.0, theta=0.04, sigma1=0.3, sigma2=0.3, rho=0.5, r0=0.05)
@@ -27,15 +28,17 @@ def derandomized(examples):
     return settings(derandomize=True, database=None, deadline=None, max_examples=examples)
 
 
-params = st.builds(
-    VasicekParams,
-    a=st.one_of(st.floats(-1.5, -0.05), st.floats(0.05, 3.0)),
+_fields_but_a = dict(
     theta=st.floats(-0.02, 0.1),
     sigma1=st.floats(0.01, 0.6),
     sigma2=st.floats(0.0, 0.2),
     rho=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
     r0=st.floats(-0.02, 0.1),
 )
+params = st.builds(VasicekParams, a=st.one_of(st.floats(-1.5, -0.05), st.floats(0.05, 3.0)),
+                   **_fields_but_a)
+# mean reversion from explosive to stiff, for the Monte Carlo oracles
+wild_params = st.builds(VasicekParams, a=st.floats(-80.0, 800.0), **_fields_but_a)
 maturities = st.floats(math.log(1.0 / 365.0), math.log(30.0)).map(math.exp)
 
 
@@ -202,6 +205,28 @@ def test_closed_forms_match_kernel_quadrature(p, tau, spot, strike, upper, width
     quad = price_by_quadrature(state, option, p).price
     assert math.isfinite(ours)
     assert ours == pytest.approx(quad, rel=1e-9, abs=1e-12)
+
+
+@derandomized(1200)
+@given(p=wild_params, tau=maturities, spot=st.floats(70.0, 150.0),
+       strike=st.floats(60.0, 140.0), upper=st.floats(math.log(95.0), math.log(170.0)),
+       width=st.floats(0.01, 1.5), corridor=st.booleans())
+def test_mc_oracles_are_finite_or_fail_by_name(p, tau, spot, strike, upper, width, corridor):
+    # the named causes: an explosive bond, OU paths past the float range or
+    # a negative step variance (each names a), and payoffs that leave it
+    option = (OptionSpec.double(strike, tau, upper - width, upper) if corridor
+              else OptionSpec.single_up(strike, tau, upper))
+    state = MarketState(spot=spot, rate=p.r0)
+    cfg = MCConfig(n_paths=64, n_steps=8, seed=1)
+    for estimate in (lambda: price_barrier_mc(state, option, p, cfg),
+                     lambda: price_barrier_mc_two_factor(state, option, p, cfg),
+                     lambda: bond_mc(p.r0, tau, p, cfg)):
+        try:
+            est = estimate()
+        except ValueError as exc:
+            assert f"a={p.a!r}" in str(exc) or "are not finite" in str(exc), str(exc)
+        else:
+            assert math.isfinite(est.mean) and math.isfinite(est.std_error)
 
 
 def _test_corridors():
