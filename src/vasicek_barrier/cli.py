@@ -421,14 +421,26 @@ def _mc_oracle_check(analytic: float, estimate, payoff_cap: float) -> tuple[bool
     return _mc_check(analytic, est, payoff_cap)
 
 
+def _bond_ode_check(analytic_bond: float, p: model.VasicekParams,
+                    tau: float) -> tuple[bool, str]:
+    """The closed-form bond against the ODE's, or the failure of an ODE that
+    leaves the float range."""
+    try:
+        ode_bond = model.bond_price_from_ode(p.r0, 0.0, tau, p)
+    except ValueError as exc:
+        return _oracle_failure(exc)
+    rel = abs(analytic_bond - ode_bond) / abs(ode_bond)
+    return rel <= 1e-8, f"rel={rel:.2e} (analytic {analytic_bond:.10f}, ode {ode_bond:.10f})"
+
+
 def _verify_checks(cfg: JobConfig):
     """Yield (name, passed, detail) for each oracle cross-check.
 
     A model that cannot be valued over the maturity (an explosive bond
     price) raises its ValueError before the first check.  An oracle that
     cannot evaluate the inputs (a corridor kernel past its mode budget, a
-    quadrature past its panel budget, MC paths past the float range) fails
-    its own check by name.
+    quadrature past its panel budget, MC paths or the bond ODE past the
+    float range) fails its own check by name.
     """
     p = cfg.params
     tau = cfg.maturity
@@ -442,10 +454,7 @@ def _verify_checks(cfg: JobConfig):
            *_mc_oracle_check(analytic_bond, lambda: mc_oracle.bond_mc(p.r0, tau, p, mc_cfg),
                              payoff_cap=1.0))
 
-    ode_bond = model.bond_price_from_ode(p.r0, 0.0, tau, p)
-    rel = abs(analytic_bond - ode_bond) / abs(ode_bond)
-    yield ("bond vs ode solution", rel <= 1e-8,
-           f"rel={rel:.2e} (analytic {analytic_bond:.10f}, ode {ode_bond:.10f})")
+    yield ("bond vs ode solution", *_bond_ode_check(analytic_bond, p, tau))
 
     ana_s = pricer.price_single_barrier(state, single, p).price
     cap_single = max(math.exp(cfg.barrier) - cfg.strike, 0.0)

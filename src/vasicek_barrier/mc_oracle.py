@@ -13,7 +13,7 @@ Two independent estimators exist for every option price:
 
 Both, and the bond estimator `bond_mc`, run on one block loop, `_simulate`.
 Each estimator supplies only its path builder: the forward, the (ln S, r)
-pair with its path discount, or the OU rate paths.  The loop owns the rest:
+pair with its path discount, or the bond's log discount.  The loop owns the rest:
 the per-block streams, the buffers, the knock monitor (`_Walls.knock`), the
 payoff (`_payoff_stats`) and the reduction.
 
@@ -56,13 +56,20 @@ estimates are bit-identical across runs and across thread counts for
 identical (seed, n_paths, n_steps).
 
 The inner loops write into buffers that each thread allocates once; at the
-default resolution a path array is 8 MB (2**11 paths x 512 steps) and the
-arrays of the drawn rows half that, and avoiding temporaries roughly
-triples throughput.
+default resolution a path array is 8 MB (2**11 paths x 512 steps).  Each
+thread keeps one path array and only the scratch its estimator needs: the
+normals of the forward (and the first set of the two-factor estimator) live
+in the half of the path array that the reflection fills last, the
+two-factor estimator adds its second normals and its rate paths (4 MB
+each), and the bond needs only its normals, since its log discount is one
+weighted sum of them.  The knock monitor works through the rows near a wall
+in chunks of about _MONITOR_CHUNK elements, so its temporaries stay small.
+Avoiding temporaries roughly triples throughput.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -91,9 +98,13 @@ _FLOOR_MODE = 50.0
 # exp() off its near-underflow slow path, which is two orders of magnitude
 # slower on this libm.
 _EXP_FLOOR = -700.0
-# The OU paths scale by decay^{+-j}, up to e^{|a| tau}; past e^700 the
-# cumulative sum can leave the float range (max ~ e^709.8).
+# The OU paths scale by decay^{+-j}, up to e^{|a| tau}, and the bond's
+# discount weights by up to e^{-a tau}; past e^700 they can leave the float
+# range (max ~ e^709.8).
 _OU_RANGE = 700.0
+# Elements of x per chunk of the knock monitor's near-wall rows: bounds its
+# temporaries at about 0.5 MB each.  A 32-step block of 2**11 rows is one chunk.
+_MONITOR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -185,12 +196,15 @@ def _reduce(stats: list, sizes: np.ndarray, n_steps: int, seed: int) -> MCEstima
 class _Buffers:
     """Block scratch arrays by name, each allocated once.
 
-    ``buf(name, m)`` returns the first m rows of a (rows, n_steps + extra)
-    array, and ``buf.column(name, m)`` the first m entries of a (rows,)
-    vector: a block's paths.  ``buf.drawn(name, m)`` returns the first
-    ceil(m/2) rows of a (ceil(rows/2), n_steps + extra) array: the normals
-    and the work on the rows built from them.  A partial final block reuses
-    the same memory.
+    ``buf.paths(m)`` returns (x, z): x, the first m rows of the block's
+    (rows + rows % 2, n_steps + 1) path array, and z, a contiguous
+    (ceil(m/2), n_steps) array of normals over the storage of its rows
+    (rows + 1) // 2 on.  A builder that writes only rows ..ceil(m/2) of x
+    leaves z intact; the reflection in `_simulate` overwrites it after the
+    build.  ``buf.drawn(name, m, extra)`` returns the first ceil(m/2) rows
+    of a (ceil(rows/2), n_steps + extra) array: scratch on the drawn rows.
+    ``buf.column(name, m)`` returns the first m entries of a (rows,)
+    vector.  A partial final block reuses the same memory.
     """
 
     def __init__(self, rows: int, n_steps: int, dtype=float):
@@ -204,9 +218,12 @@ class _Buffers:
             a = self._arrays[name] = np.empty(shape, self._dtype)
         return a
 
-    def __call__(self, name: str, m: int, extra: int = 0) -> np.ndarray:
+    def paths(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The block's paths x (m, n_steps + 1) and the normals z under their upper half."""
         rows, n = self._shape
-        return self._array(name, (rows, n + extra))[:m]
+        x = self._array("x", (rows + rows % 2, n + 1))
+        start, h = x.shape[0] // 2 * x.shape[1], _drawn(m)
+        return x[:m], x.reshape(-1)[start:start + h * n].reshape(h, n)
 
     def drawn(self, name: str, m: int, extra: int = 0) -> np.ndarray:
         """The first ceil(m/2) rows of an array with one row per drawn path."""
@@ -305,28 +322,30 @@ def _ou_step_coeffs(dt: float, p: VasicekParams) -> tuple[float, float]:
     return math.exp(-p.a * dt), p.sigma2 * math.sqrt(var_scale)
 
 
-def _ou_paths_into(r: np.ndarray, z: np.ndarray, work: np.ndarray, r0: float,
-                   dt: float, p: VasicekParams) -> None:
+def _ou_range_error(a: float, tau: float, growth: float, what: str) -> ValueError:
+    return ValueError(f"a={a!r} over {tau:g} years: {what} need e^{growth:.4g}, past the "
+                      f"float range (exponent <= {_OU_RANGE:g})")
+
+
+def _ou_paths_into(r: np.ndarray, z: np.ndarray, r0: float, dt: float,
+                   p: VasicekParams) -> None:
     """Fill r (m, n+1) with exact OU paths driven by the normals z (m, n).
 
     Uses r_j = theta + decay^j * (r0 - theta + shock * sum_{k<j} decay^{-k-1} z_k),
-    which turns the step recursion into one cumulative sum.  ``work`` is an
-    (m, n) scratch buffer; z is left untouched.  decay^{+-n} = e^{-+a tau}
-    must stay in the float range, so |a| tau past _OU_RANGE raises a
-    ValueError naming a.
+    which turns the step recursion into one cumulative sum, done in z: z is
+    left holding scratch.  decay^{+-n} = e^{-+a tau} must stay in the float
+    range, so |a| tau past _OU_RANGE raises a ValueError naming a.
     """
     n = z.shape[1]
     if abs(p.a) * dt * n > _OU_RANGE:
-        raise ValueError(f"a={p.a!r} over {dt * n:g} years: the OU paths need "
-                         f"e^(|a| tau) = e^{abs(p.a) * dt * n:.4g}, past the float "
-                         f"range (|a| tau <= {_OU_RANGE:g})")
+        raise _ou_range_error(p.a, dt * n, abs(p.a) * dt * n, "the OU paths")
     decay, shock = _ou_step_coeffs(dt, p)
     j = np.arange(1, n + 1)
-    np.multiply(z, decay**(-j), out=work)
-    np.cumsum(work, axis=1, out=work)
-    np.multiply(work, shock * decay**j, out=work)
+    np.multiply(z, decay**(-j), out=z)
+    np.cumsum(z, axis=1, out=z)
+    np.multiply(z, shock * decay**j, out=z)
     r[:, 0] = r0
-    np.add(work, p.theta + decay**j * (r0 - p.theta), out=r[:, 1:])
+    np.add(z, p.theta + decay**j * (r0 - p.theta), out=r[:, 1:])
 
 
 def _log_discount_into(out: np.ndarray, r: np.ndarray, dt: float) -> None:
@@ -336,22 +355,47 @@ def _log_discount_into(out: np.ndarray, r: np.ndarray, dt: float) -> None:
     out *= -dt
 
 
+def _bond_log_discount_weights(r0: float, tau: float, n: int,
+                               p: VasicekParams) -> tuple[float, np.ndarray]:
+    """(const, c): the trapezoid log discount of an n-step OU path as const + c . z.
+
+    The exact OU recursion r_{j+1} = theta + decay (r_j - theta) + shock z_j
+    is affine in the normals z, and so is -dt sum_j w_j r_j with the
+    trapezoid weights w (1/2 at both ends, else 1) (Glasserman 2004, §3.3):
+    c_k = -dt shock S_k with S_{n-1} = w_n and S_k = w_{k+1} + decay S_{k+1},
+    and const = -dt (n theta + (r0 - theta)(1/2 + decay S_0)), the
+    zero-noise path's.  S_0 grows like e^{-a tau}, so -a tau past
+    _OU_RANGE raises a ValueError naming a.
+    """
+    dt = tau / n
+    if -p.a * tau > _OU_RANGE:
+        raise _ou_range_error(p.a, tau, -p.a * tau, "the discount weights")
+    decay, shock = _ou_step_coeffs(dt, p)
+    w = itertools.chain((0.5,), itertools.repeat(1.0, n - 1))  # w_n, ..., w_1
+    s = np.fromiter(itertools.accumulate(w, lambda acc, wk: wk + decay * acc), float, n)
+    const = -dt * (n * p.theta + (r0 - p.theta) * (0.5 + decay * s[-1]))
+    return const, s[::-1] * (-dt * shock)
+
+
 def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimate:
     """Estimate the bond price E[exp(-int_0^tau r dt)] by simulation.
 
     Uses the exact OU transition per step and trapezoidal accumulation of
-    the rate integral.  The bond is the block loop's payoff struck at zero
-    on the log discount, a one-column path, with no barrier.
+    the rate integral.  That log discount is affine in the normals, so each
+    path's is one weighted sum of its normals
+    (`_bond_log_discount_weights`), and no rate path is built.  The bond is
+    the block loop's payoff struck at zero on the log discount, a
+    one-column path, with no barrier.
     """
     n = math.ceil(tau * cfg.n_steps)
-    dt = tau / n
+    const, weights = _bond_log_discount_weights(r0, tau, n, p)
 
     def build(rng, buf, m):
-        z, r, work = buf.drawn("z", m), buf.drawn("r", m, 1), buf.drawn("work", m)
-        log_disc = buf.column("log_disc", m)
+        z, log_disc = buf.drawn("z", m), buf.column("log_disc", m)
         rng.standard_normal(out=z)
-        _ou_paths_into(r, z, work, r0, dt, p)
-        _log_discount_into(log_disc[:z.shape[0]], r, dt)
+        drawn = log_disc[:z.shape[0]]
+        np.einsum("ij,j->i", z, weights, out=drawn)  # BLAS-free: no thread pool of its own
+        drawn += const
         return log_disc[:, None], 0.0
     return _simulate(cfg, n, build, 0.0)
 
@@ -365,19 +409,24 @@ def _weigh_near_walls(x, gap, knocked, inv_v, w, dist, stay):
     has every term of its crossing series at most exp(-2 a b / v); below
     exp(-_SCREEN) its 1 - p_j rounds to exactly 1.0, so it is skipped.
     Rows whose closest approach ``gap`` to a wall, over every point, is at
-    least sqrt(_SCREEN/2 * max v) hold no other step.
+    least sqrt(_SCREEN/2 * max v) hold no other step.  The other rows go
+    through in chunks of about _MONITOR_CHUNK elements; a row is never
+    split, so its factors and their product do not depend on the chunking.
     """
     np.subtract(1.0, knocked, out=w)
     reach = math.sqrt(0.5 * _SCREEN / float(inv_v.min()))
     rows = np.flatnonzero(~knocked & (gap < reach))
-    near = x[rows]
-    a = dist(near)
-    i, j = np.nonzero(a[:, :-1] * a[:, 1:] * inv_v < 0.5 * _SCREEN)
-    if i.size:
-        factors = stay(near[i, j], near[i, j + 1], inv_v[j])
-        rows = rows[i]  # one entry per step, in row order
-        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-        w[rows[starts]] *= np.multiply.reduceat(factors, starts)
+    per = max(1, _MONITOR_CHUNK // inv_v.size)
+    for start in range(0, rows.size, per):
+        chunk = rows[start:start + per]
+        near = x[chunk]
+        a = dist(near)
+        i, j = np.nonzero(a[:, :-1] * a[:, 1:] * inv_v < 0.5 * _SCREEN)
+        if i.size:
+            factors = stay(near[i, j], near[i, j + 1], inv_v[j])
+            hit = chunk[i]  # one entry per step, in row order
+            starts = np.flatnonzero(np.concatenate(([True], hit[1:] != hit[:-1])))
+            w[hit[starts]] *= np.multiply.reduceat(factors, starts)
 
 
 def _single_bridge_knockout(x, upper, inv_v, w):
@@ -577,7 +626,7 @@ def price_barrier_mc(state: MarketState, spec: OptionSpec, p: VasicekParams,
         sd = np.sqrt(v)
 
         def build(rng, buf, m):
-            z, x = buf.drawn("z", m), buf("x", m, 1)
+            x, z = buf.paths(m)
             rng.standard_normal(out=z)
             h = z.shape[0]
             np.multiply(z, sd, out=z)
@@ -613,24 +662,24 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
         log_s0 = math.log(state.spot)
 
         def build(rng, buf, m):
-            z1, z2 = buf.drawn("z", m), buf.drawn("z2", m)
+            x, z1 = buf.paths(m)
+            z2, r = buf.drawn("z2", m), buf.drawn("r", m, 1)
             rng.standard_normal(out=z1)
             rng.standard_normal(out=z2)
-            work, r = buf.drawn("work", m), buf.drawn("r", m, 1)
             h = z1.shape[0]
-            x, log_disc = buf("x", m, 1), buf.column("log_disc", m)
+            log_disc = buf.column("log_disc", m)
             np.multiply(z2, rho_c, out=z2)
-            np.multiply(z1, p.rho, out=work)
-            np.add(z2, work, out=z2)
-            _ou_paths_into(r, z2, work, state.rate, dt, p)
+            np.multiply(z1, p.rho, out=r[:, 1:])  # r is free until the OU paths
+            np.add(z2, r[:, 1:], out=z2)
+            _ou_paths_into(r, z2, state.rate, dt, p)
             _log_discount_into(log_disc[:h], r, dt)
             # Euler log-stock increments: ((r_j + r_{j+1})/2 - s1^2/2) dt + s1 sqrt(dt) Z1,
             # the drift s1^2/2 dt left to `shift`; the rate term cancels the
             # path discount's, so the discounted stock is an exact martingale
             np.multiply(z1, p.sigma1 * math.sqrt(dt), out=z1)
-            np.add(r[:, :-1], r[:, 1:], out=work)
-            np.multiply(work, 0.5 * dt, out=work)
-            np.add(z1, work, out=z1)
+            np.add(r[:, :-1], r[:, 1:], out=z2)  # z2 is scratch after the OU paths
+            np.multiply(z2, 0.5 * dt, out=z2)
+            np.add(z1, z2, out=z1)
             z1[:, 0] += log_s0  # so the cumulative sum starts from ln S0
             np.cumsum(z1, axis=1, out=x[:h, 1:])
             x[:h, 0] = log_s0

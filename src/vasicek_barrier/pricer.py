@@ -146,16 +146,19 @@ class PriceCurve:
 class _Valuation:
     """The spot-independent part of a valuation at one short rate and time.
 
-    Holds the bond price P and, computed on first use, the forward variance
-    v.  `price_curve` builds one per curve, so a curve evaluates each of
-    them once rather than once per spot.
+    Holds the bond price P and the forward variance v, each computed on
+    first use.  `price_curve` builds one per curve, so a curve evaluates
+    each of them once rather than once per spot; a bond price that cannot
+    be valued (an explosive model) raises its ValueError on every use, so
+    each row of a curve reports it.
     """
 
     def __init__(self, spec: OptionSpec, p: VasicekParams, rate: float, time: float):
-        self.spec, self.p, self.time = spec, p, time
-        # an overflow, or log A as inf - inf, is reported by log_forward
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.disc = bond_price(rate, time, spec.maturity, p)
+        self.spec, self.p, self.rate, self.time = spec, p, rate, time
+
+    @cached_property
+    def disc(self) -> float:
+        return bond_price(self.rate, self.time, self.spec.maturity, self.p)
 
     @cached_property
     def v(self) -> float:

@@ -1,10 +1,11 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vasicek_barrier import cli, pricer
+from vasicek_barrier import cli, model, pricer
 from vasicek_barrier.cli import main
 
 SMOKE = ["--paths", "2000", "--steps", "64", "--seed", "5"]
@@ -299,16 +300,34 @@ class TestVerifyCommand:
         assert oracle_failures and all(line.startswith("FAIL") for line in oracle_failures)
 
     def test_mc_oracle_past_the_float_range_fails_its_own_checks_by_name(self, capsys):
-        # a = 800 over a year: the OU paths need e^800, so the bond and the
-        # two-factor estimators fail by name and the other checks still run
+        # a = 800 over a year: the OU paths need e^800, so the two-factor
+        # estimator fails by name and the other checks still run.  The bond
+        # needs no rate paths and prices; at 16 steps its trapezoid discount
+        # is far off for a rate that reverts in 1/800 of a year
         code, out, err = run(capsys, "verify", "--a", "800", "--paths", "2000",
                              "--steps", "16")
         lines = out.strip().splitlines()
         assert err == "" and code == 3 and len(lines) == 10
         failed = {line[6:48].strip(): line for line in lines if line.startswith("FAIL")}
         assert sorted(failed) == ["bond vs monte carlo", "single barrier vs two-factor mc"]
-        assert all("oracle cannot evaluate" in line and "a=800.0" in line
-                   for line in failed.values())
+        assert "|z|=" in failed["bond vs monte carlo"]
+        two_factor = failed["single barrier vs two-factor mc"]
+        assert "oracle cannot evaluate" in two_factor and "a=800.0" in two_factor
+
+    def test_an_ode_bond_past_the_float_range_fails_its_own_check(self, capsys, monkeypatch):
+        # the ODE oracle raises by name where its solution leaves the float
+        # range (a = -80 over 10 years); the closed form's own error stops
+        # such a run before any check, so that error stands in for it here
+        def ode(r, t, tau, p, solve=model.bond_price_from_ode):
+            return solve(r, t, tau, replace(p, a=-80.0))
+        monkeypatch.setattr(model, "bond_price_from_ode", ode)
+        code, out, err = run(capsys, "verify", "--paths", "2000", "--steps", "16",
+                             "--maturity", "10")
+        lines = out.strip().splitlines()
+        assert err == "" and code == 3 and len(lines) == 10
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1 and "bond vs ode solution" in failed[0]
+        assert "oracle cannot evaluate" in failed[0] and "a=-80.0" in failed[0]
 
     def test_one_step_corridor_much_narrower_than_its_variance_passes_its_mc_check(
             self, capsys):

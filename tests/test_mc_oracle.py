@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,11 +114,84 @@ class TestFloatRange:
         with pytest.raises(ValueError, match="payoffs of block 0 are not finite"):
             bond_mc(0.05, 10.0, self.model(-60.0), MCConfig(1000, 8, 1))
 
-    def test_negative_step_variance_names_a(self):
-        # just above SMALL_A the closed-form integrated variance cancels
+    def test_negative_step_variance_names_a(self, monkeypatch):
+        # integrated_variance no longer cancels below zero at small a (it once
+        # gave -2.5 at a = 1e-6), so a cancelling one stands in for it
+        monkeypatch.setattr(mc_oracle, "integrated_variance",
+                            lambda *args: integrated_variance(*args) - 1e-3)
         with pytest.raises(ValueError, match=r"a=1e-06: integrated_variance"):
             price_barrier_mc(STATE, SINGLE, VasicekParams(1e-6, 0.0, 0.01, 0.14, 1.0, 0.07),
                              MCConfig(1000, 8, 1))
+
+    def test_the_bond_prices_where_only_the_rate_paths_overflow(self):
+        # a = 800 over a year: decay^-j would reach e^800, but the bond's
+        # discount weights only decay
+        est = bond_mc(0.05, 1.0, self.model(800.0), MCConfig(1000, 512, 1))
+        assert math.isfinite(est.mean) and 0.0 < est.std_error < 1e-6
+
+
+def _ou_log_discount(z, r0, tau, p):
+    """The trapezoid log discount of each row's OU path, by the step recursion,
+    and the same rule applied to |r|: the scale of its rounding."""
+    n = z.shape[1]
+    dt = tau / n
+    decay = math.exp(-p.a * dt)
+    shock = p.sigma2 * math.sqrt(-math.expm1(-2.0 * p.a * dt) / (2.0 * p.a))
+    r = np.empty((z.shape[0], n + 1))
+    r[:, 0] = r0
+    for j in range(n):
+        r[:, j + 1] = p.theta + decay * (r[:, j] - p.theta) + shock * z[:, j]
+    w = np.full(n + 1, dt)
+    w[[0, -1]] *= 0.5
+    return np.array([-math.fsum(w * row) for row in r]), np.abs(r) @ w
+
+
+class TestWorkingSet:
+    """Each worker keeps one path array and only the scratch its estimator needs."""
+
+    # peak bytes traced for two 2048 x 512 blocks on one worker: the forward
+    # holds its paths (8.4 MB) with its normals inside them, the two-factor
+    # adds its second normals and its rates (4.2 MB each), the bond only its
+    # normals (4.2 MB); the rest is the monitor's chunks
+    PEAK_MB = {"forward-single": 12, "forward-corridor": 12, "two-factor-single": 20,
+               "two-factor-corridor": 20, "bond": 5}
+
+    @pytest.mark.parametrize("estimator", sorted(PEAK_MB))
+    def test_peak_traced_memory(self, estimator, monkeypatch):
+        monkeypatch.setattr(mc_oracle, "_workers", lambda n_blocks: 1)
+        cfg = MCConfig(n_paths=2 * mc_oracle._BLOCK, n_steps=512, seed=3)
+        ESTIMATORS[estimator](cfg)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            ESTIMATORS[estimator](cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_MB[estimator] * 1e6
+
+    @pytest.mark.parametrize("a", [-5.0, 1e-7, 1.0, 800.0])
+    def test_bond_weighted_sum_matches_the_ou_paths(self, a):
+        p = VasicekParams(**{**REF.__dict__, "a": a})
+        z = np.random.default_rng(5).standard_normal((64, 512))
+        const, weights = mc_oracle._bond_log_discount_weights(0.05, 1.0, 512, p)
+        want, scale = _ou_log_discount(z, 0.05, 1.0, p)
+        assert np.all(np.abs(const + z @ weights - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("kind", ["single", "corridor"])
+    def test_monitor_weights_do_not_depend_on_the_chunk_size(self, kind, monkeypatch):
+        # one row per chunk, the default (512 of these 128-step rows), and the
+        # whole block as one chunk
+        spec = TestBridgeScreen.SPECS[kind]
+        weights = []
+        for chunk in (1, mc_oracle._MONITOR_CHUNK, 1 << 30):
+            monkeypatch.setattr(mc_oracle, "_MONITOR_CHUNK", chunk)
+            blocks = record_monitor(monkeypatch)
+            price_barrier_mc(STATE, spec, REF, MCConfig(mc_oracle._BLOCK + 77, 512, 7))
+            weights.append([w for *_, w, _ in blocks])
+        assert len(weights[0]) == 2
+        for w1, w_default, w_block in zip(*weights):
+            assert np.array_equal(w1, w_default) and np.array_equal(w1, w_block)
+            assert np.any((w1 > 0.0) & (w1 < 1.0))
 
 
 class TestDeterminism:

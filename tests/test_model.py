@@ -1,6 +1,8 @@
 import math
+import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -14,6 +16,33 @@ REF = VasicekParams(a=1.0, theta=0.04, sigma1=0.3, sigma2=0.3, rho=0.5, r0=0.05)
 # integral of effective_vol_sq over [0, 1] at REF params, frozen from
 # scipy.integrate.quad(epsabs=1e-14); the live quadrature below re-derives it.
 REF_TOTAL_VARIANCE = 0.138237361370642
+
+# mean-reversion speeds where the closed forms in a alone cancel, and horizons
+# from a day to 30 years, so that a u runs from 3e-10 to 0.3
+SMALL_AS = [1e-7, 1e-6, 2e-6, 1e-5, 1e-4, 1e-3, 1e-2]
+HORIZONS = [1.0 / 365.0, 1.0, 10.0, 30.0]
+
+
+def _mp_b_integrals(u, a):
+    """(B(u), int_0^u B, int_0^u B^2) in 50-digit arithmetic, from the closed forms."""
+    b = -mpmath.expm1(-a * u) / a
+    return b, (u - b) / a, (u - 2 * b - mpmath.expm1(-2 * a * u) / (2 * a)) / (a * a)
+
+
+def mp_integrated_variance(t0, t1, tau, p):
+    with mpmath.workdps(50):
+        a, s1, s2 = mpmath.mpf(p.a), mpmath.mpf(p.sigma1), mpmath.mpf(p.sigma2)
+        _, ib0, ib20 = _mp_b_integrals(mpmath.mpf(tau) - mpmath.mpf(t0), a)
+        _, ib1, ib21 = _mp_b_integrals(mpmath.mpf(tau) - mpmath.mpf(t1), a)
+        return float(s1 * s1 * (mpmath.mpf(t1) - mpmath.mpf(t0))
+                     + 2 * mpmath.mpf(p.rho) * s1 * s2 * (ib0 - ib1) + s2 * s2 * (ib20 - ib21))
+
+
+def mp_log_bond_price(r, t, tau, p):
+    with mpmath.workdps(50):
+        u = mpmath.mpf(tau) - mpmath.mpf(t)
+        b, _, ib2 = _mp_b_integrals(u, mpmath.mpf(p.a))
+        return float(p.theta * (b - u) + mpmath.mpf(p.sigma2) ** 2 / 2 * ib2 - r * b)
 
 
 def test_params_validation():
@@ -98,6 +127,22 @@ class TestBondPrice:
         assert bond_price(0.05, 0.0, 2.0, p) == pytest.approx(
             bond_price_from_ode(0.05, 0.0, 2.0, p), rel=1e-8)
 
+    @pytest.mark.parametrize("a", SMALL_AS)
+    @pytest.mark.parametrize("tau", HORIZONS)
+    def test_small_a_log_bond_against_mpmath(self, a, tau):
+        # the closed form cancelled to 8.6e-6 absolute at a = 2e-6 over 30 years
+        p = VasicekParams(a=a, theta=0.04, sigma1=0.01, sigma2=0.14, rho=1.0, r0=0.07)
+        want = mp_log_bond_price(0.07, 0.0, tau, p)
+        assert log_bond_price(0.07, 0.0, tau, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("price", [bond_price, log_bond_price, bond_price_from_ode])
+    def test_explosive_model_raises_naming_a(self, price):
+        # at a = -80 over 10 years log A is inf - inf; no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"maturity 10\.0 is not finite.*a=-80\.0"):
+                price(0.05, 0.0, 10.0, replace(REF, a=-80.0))
+
 
 class TestEffectiveVolSq:
     def test_equals_stock_variance_at_maturity(self):
@@ -160,6 +205,20 @@ class TestIntegratedVariance:
         ref, _ = quad(lambda t: effective_vol_sq(t, 2.0, p), 0.0, 2.0,
                       epsabs=1e-14, epsrel=1e-13)
         assert val == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("a", SMALL_AS)
+    @pytest.mark.parametrize("tau", HORIZONS)
+    def test_small_a_against_mpmath(self, a, tau):
+        # the closed form cancelled to 4.5e-5 relative at a = 2e-6 over 30
+        # years, and gave negative steps down to -2.5 at a = 1e-6
+        p = VasicekParams(a=a, theta=0.0, sigma1=0.01, sigma2=0.14, rho=1.0, r0=0.07)
+        assert integrated_variance(0.0, tau, tau, p) == pytest.approx(
+            mp_integrated_variance(0.0, tau, tau, p), rel=1e-12, abs=0.0)
+        grid = np.linspace(0.0, tau, 241)
+        steps = integrated_variance(grid[:-1], grid[1:], tau, p)
+        want = [mp_integrated_variance(grid[j], grid[j + 1], tau, p) for j in (0, 120, 239)]
+        np.testing.assert_allclose(steps[[0, 120, 239]], want, rtol=1e-12, atol=0.0)
+        assert np.all(steps > 0.0)
 
     def test_ordering_violation_rejected(self):
         with pytest.raises(ValueError):

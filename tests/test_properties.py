@@ -71,9 +71,11 @@ def test_corridor_below_up_and_out_below_vanilla(p, tau, spot, strike, upper, wi
 
 def _bond(p, tau):
     """P(r0, 0; tau), or None for a model that explodes over tau."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    try:
         disc = bond_price(p.r0, 0.0, tau, p)
-    return disc if 0.0 < disc < math.inf else None
+    except ValueError:  # not finite, named by bond_price
+        return None
+    return disc if disc > 0.0 else None
 
 
 def _option(strike, tau, lower, upper):
