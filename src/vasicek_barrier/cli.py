@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -105,6 +106,12 @@ class JobConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's negative-number pattern has no exponent, so "--a -5e-1"
+        # read "-5e-1" as a flag; no flag looks like a number
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):  # argparse would exit(2); remap to config error
         raise ConfigError(message)
 

@@ -102,6 +102,9 @@ _EXP_FLOOR = -700.0
 # discount weights by up to e^{-a tau}; past e^700 they can leave the float
 # range (max ~ e^709.8).
 _OU_RANGE = 700.0
+# Steps a path, checked before anything is allocated: a worker's path array
+# of 2**11 rows then stays under 256 MB (the two-factor's under 512 MB).
+_MAX_STEPS = 1 << 14
 # Elements of x per chunk of the knock monitor's near-wall rows: bounds its
 # temporaries at about 0.5 MB each.  A 32-step block of 2**11 rows is one chunk.
 _MONITOR_CHUNK = 1 << 16
@@ -142,6 +145,20 @@ class MCEstimate:
     n_paths: int
     n_steps: int
     seed: int
+
+
+def _n_steps(cfg: MCConfig, tau: float) -> int:
+    """ceil(tau * n_steps), or a ValueError naming steps and maturity past _MAX_STEPS."""
+    n = math.ceil(tau * cfg.n_steps)
+    if n > _MAX_STEPS:
+        raise ValueError(f"steps: {cfg.n_steps} steps a year over maturity {tau:g} make "
+                         f"{n} steps a path, past the limit of {_MAX_STEPS}")
+    return n
+
+
+def _on_grid(f, *columns) -> np.ndarray:
+    """f mapped over the grid columns: a float closed form of `model` per point or step."""
+    return np.fromiter(map(f, *columns), float, len(columns[0]))
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
@@ -387,7 +404,7 @@ def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimat
     the block loop's payoff struck at zero on the log discount, a
     one-column path, with no barrier.
     """
-    n = math.ceil(tau * cfg.n_steps)
+    n = _n_steps(cfg, tau)
     const, weights = _bond_log_discount_weights(r0, tau, n, p)
 
     def build(rng, buf, m):
@@ -591,19 +608,20 @@ def _option_mc(state: MarketState, spec: OptionSpec, p: VasicekParams, cfg: MCCo
     """The alive check, grid and walls that both option estimators share.
 
     ``paths(x0, grid, v)`` returns the estimator's block builder for
-    `_simulate`, given the start x0 of the log forward, the time grid and
-    its per-step forward variances v.  A start outside the barrier region
+    `_simulate`, given the start x0 of the log forward, the time grid (a
+    list of floats) and its per-step forward variances v.  A start outside the barrier region
     returns the knocked-out estimate (0, 0).  A negative step variance (the
     closed form's cancellation at some small |a|) raises a ValueError naming
     a.
     """
+    n = _n_steps(cfg, spec.maturity - state.time)
     x0 = log_forward(state, spec, p)
     lower, upper = spec.walls
-    n = math.ceil((spec.maturity - state.time) * cfg.n_steps)
     if not lower < x0 < upper:
         return MCEstimate(0.0, 0.0, cfg.n_paths, n, cfg.seed)
-    grid = np.linspace(state.time, spec.maturity, n + 1)
-    v = integrated_variance(grid[:-1], grid[1:], spec.maturity, p)
+    grid = np.linspace(state.time, spec.maturity, n + 1).tolist()
+    v = _on_grid(lambda t0, t1: integrated_variance(t0, t1, spec.maturity, p),
+                 grid[:-1], grid[1:])
     if not np.all(v >= 0.0):
         raise ValueError(f"a={p.a!r}: integrated_variance gives a step variance of "
                          f"{v.min():.3g} on the {n}-step grid, below 0")
@@ -652,12 +670,12 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
     """
     def joint_paths(x0, grid, v):
         tau = spec.maturity
-        dt = (tau - state.time) / (grid.size - 1)
+        dt = (tau - state.time) / (len(grid) - 1)
         # log A (the log bond price at r = 0, so 0 at maturity) plus the Ito
         # drift s1^2/2 t of ln S, both taken off ln S + r B in one pass
-        shift = log_bond_price(0.0, grid, tau, p) \
-            + 0.5 * p.sigma1**2 * dt * np.arange(grid.size)
-        b_fac = b_factor(grid, tau, p.a)
+        shift = _on_grid(lambda s: log_bond_price(0.0, s, tau, p), grid) \
+            + 0.5 * p.sigma1**2 * dt * np.arange(len(grid))
+        b_fac = _on_grid(lambda s: b_factor(s, tau, p.a), grid)
         rho_c = math.sqrt(1.0 - p.rho**2)
         log_s0 = math.log(state.spot)
 

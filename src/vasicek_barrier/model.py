@@ -8,25 +8,26 @@ pricing layer needs from the rate model reduces to three closed forms:
 * the instantaneous variance of the forward price S/P, and
 * its integral over a time interval (the number that drives the kernels).
 
-All functions are pure; scalar arguments broadcast against numpy arrays.
+All functions are pure and each is written once, on Python floats with
+`math`: they take floats (a numpy scalar is converted once) and return
+floats.  The Monte Carlo oracle maps them over its time grid.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp() overflows above this
 
-# Below this mean-reversion speed B's closed form divides a cancelled
-# difference by a, so its series takes over.
-SMALL_A = 1e-6
-
-# Taylor coefficients in x = a u, highest power first, of the scaled integrals
-# of B (`_b_integrals`):
+# Taylor coefficients in x = a u, highest power first, of B and its scaled
+# integrals (`_b`, `_b_integrals`):
+#   h(x) = (1 - e^-x) / x                   = sum_n (-x)^n / (n+1)!
 #   f(x) = (e^-x - 1 + x) / x^2             = sum_n (-x)^n / (n+2)!
 #   g(x) = (2x - 3 + 4 e^-x - e^-2x) / (2 x^3) = sum_n (-x)^n (2^(n+2) - 2) / (n+3)!
 # Below |x| = 1, 22 terms leave a tail under 1e-17 relative.
+_H_SERIES = tuple((-1) ** n / math.factorial(n + 1) for n in reversed(range(22)))
 _F_SERIES = tuple((-1) ** n / math.factorial(n + 2) for n in reversed(range(22)))
 _G_SERIES = tuple((-1) ** n * (2 ** (n + 2) - 2) / math.factorial(n + 3)
                   for n in reversed(range(22)))
@@ -79,29 +80,40 @@ class VasicekParams:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
 
 
-def _check_order(t, tau):
-    if (np.asarray(t) > tau).any():
+def _check_order(t: float, tau: float) -> None:
+    if t > tau:
         raise ValueError(f"valuation time t={t} exceeds maturity tau={tau}")
 
 
-def _horner(coeffs, x):
+def _finite(quantity: str, tau: float, a: float, f, *args) -> float:
+    """f(*args), or a ValueError naming a where it overflows (OverflowError
+    from `math`, inf or NaN from float arithmetic): an explosive model."""
+    try:
+        out = f(*args)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"{quantity} over maturity {tau!r} is not finite: the rate model "
+                         f"with a={a!r} explodes over this horizon")
+    return out
+
+
+def _horner(coeffs, x: float) -> float:
     y = 0.0
     for c in coeffs:
         y = y * x + c
     return y
 
 
-def _closed_f_g(x):
-    """f and g of `_F_SERIES` in closed form, from e^-x - 1 alone.
-
-    e^-2x - 1 = (e^-x - 1)(e^-x + 1) turns the numerator of g into
-    2x + 2 (e^-x - 1) - (e^-x - 1)^2.
-    """
-    em1 = np.expm1(-x)
-    return (em1 + x) / (x * x), (2.0 * x + em1 * (2.0 - em1)) / (2.0 * x * x * x)
+def _b(u: float, a: float) -> float:
+    """B(u) = (1 - e^{-a u}) / a = u h(a u), by its series below |a u| = 1."""
+    x = a * u
+    if abs(x) < 1.0:
+        return u * _horner(_H_SERIES, x)
+    return -math.expm1(-x) / a
 
 
-def _b_integrals(u, a: float):
+def _b_integrals(u: float, a: float) -> tuple[float, float]:
     """(int_0^u B ds, int_0^u B^2 ds) for B(s) = (1 - e^{-a s}) / a.
 
     They are u^2 f(a u) and u^3 g(a u) with f, g as at `_F_SERIES`.  The
@@ -109,65 +121,44 @@ def _b_integrals(u, a: float):
     eps / |a u|^3 for small |a u|, so their series serve below |a u| = 1:
     the switch is on a u, not on a alone, because a small a over a long
     horizon is far from the series' range.  Either way the relative error
-    is a few eps.  Past the float range (a u below about -354) they are
-    inf, with numpy's overflow warning left to the caller.
+    is a few eps.  In the closed form, e^-2x - 1 = (e^-x - 1)(e^-x + 1)
+    turns the numerator of g into 2x + 2 (e^-x - 1) - (e^-x - 1)^2.
     """
     x = a * u
-    if np.ndim(x) == 0:
-        x = float(x)
-        if abs(x) < 1.0:
-            f, g = _horner(_F_SERIES, x), _horner(_G_SERIES, x)
-        else:
-            f, g = _closed_f_g(x)
+    if abs(x) < 1.0:
+        f, g = _horner(_F_SERIES, x), _horner(_G_SERIES, x)
     else:
-        small = np.abs(x) < 1.0
-        f, g = _closed_f_g(np.where(small, 1.0, x))
-        f[small], g[small] = _horner(_F_SERIES, x[small]), _horner(_G_SERIES, x[small])
+        em1 = math.expm1(-x)
+        f, g = (em1 + x) / (x * x), (2.0 * x + em1 * (2.0 - em1)) / (2.0 * x * x * x)
     return u * u * f, u * u * u * g
 
 
-def _finite(out, quantity: str, tau: float, a: float):
-    """out as a float or an array, or a ValueError naming a where it is not finite."""
-    if not np.isfinite(out).all():
-        raise ValueError(f"{quantity} over maturity {tau!r} is not finite: the rate model "
-                         f"with a={a!r} explodes over this horizon")
-    return out if np.ndim(out) else float(out)
-
-
-def b_factor(t, tau: float, a: float):
+def b_factor(t: float, tau: float, a: float) -> float:
     """Bond duration factor B(t) = (1 - exp(-a*(tau - t))) / a.
 
     Parameters
     ----------
-    t : float or ndarray
-        Valuation time(s), must satisfy t <= tau.
+    t : float
+        Valuation time, must satisfy t <= tau.
     tau : float
         Maturity time.
     a : float
-        Mean-reversion speed.  For |a| < SMALL_A the three-term series
-        u - a*u**2/2 + a**2*u**3/6 (u = tau - t) is used instead.
+        Mean-reversion speed.  Below |a*(tau - t)| = 1 the Taylor series
+        of B replaces the closed form, which cancels there.
     """
+    t, tau = float(t), float(tau)
     _check_order(t, tau)
-    out = _b(tau - np.asarray(t, dtype=float), a)
-    return out if out.ndim else float(out)
+    return _finite("bond factor B", tau, a, _b, tau - t, a)
 
 
-def _b(u, a: float):
-    """B at u = tau - t, without `b_factor`'s checks."""
-    if abs(a) < SMALL_A:
-        return u - a * u**2 / 2.0 + a**2 * u**3 / 6.0
-    return -np.expm1(-a * u) / a
-
-
-def _log_bond(r, t, tau: float, p: VasicekParams):
+def _log_bond(r: float, t: float, tau: float, p: VasicekParams) -> float:
     _check_order(t, tau)
-    u = tau - np.asarray(t, dtype=float)
+    u = tau - t
     int_b, int_b2 = _b_integrals(u, p.a)
-    return 0.5 * p.sigma2 * p.sigma2 * int_b2 - p.theta * p.a * int_b \
-        - np.asarray(r, dtype=float) * _b(u, p.a)
+    return 0.5 * p.sigma2 * p.sigma2 * int_b2 - p.theta * p.a * int_b - r * _b(u, p.a)
 
 
-def log_bond_price(r, t, tau: float, p: VasicekParams):
+def log_bond_price(r: float, t: float, tau: float, p: VasicekParams) -> float:
     """Log of the zero-coupon bond price, log A(t) - r * B(t).
 
     log A = -theta * int_0^u (1 - e^{-a s}) ds + sigma2^2 / 2 * int_0^u B^2 ds
@@ -178,19 +169,17 @@ def log_bond_price(r, t, tau: float, p: VasicekParams):
     finite; past that, where the log is not finite either, this raises a
     ValueError naming a.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _log_bond(r, t, tau, p)
-    return _finite(out, "log bond price", tau, p.a)
+    return _finite("log bond price", tau, p.a, _log_bond, float(r), float(t), float(tau), p)
 
 
-def bond_price(r, t, tau: float, p: VasicekParams):
+def bond_price(r: float, t: float, tau: float, p: VasicekParams) -> float:
     """Zero-coupon bond price P(r, t; tau) = A(t) * exp(-r * B(t)).
 
     Parameters
     ----------
-    r : float or ndarray
+    r : float
         Short rate at time t.
-    t : float or ndarray
+    t : float
         Valuation time, t <= tau.
     tau : float
         Maturity; P(r, tau; tau) = 1 for every r.
@@ -198,27 +187,38 @@ def bond_price(r, t, tau: float, p: VasicekParams):
         Model parameters (only a, theta, sigma2 enter).
 
     Raises ValueError naming a where the price is not finite: an explosive
-    model (a < 0) over a long horizon.
+    model (a < 0) over a long horizon.  A price below the float range
+    underflows to 0.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(_log_bond(r, t, tau, p))
-    return _finite(out, "bond price", tau, p.a)
+    return _finite("bond price", tau, p.a, math.exp, log_bond_price(r, t, tau, p))
 
 
-def effective_vol_sq(t, tau: float, p: VasicekParams):
+def effective_vol_sq(t: float, tau: float, p: VasicekParams) -> float:
     """Instantaneous variance rate of the forward price S / P(r, t; tau).
 
     Equals sigma1^2 + 2*rho*sigma1*sigma2*B(t) + sigma2^2*B(t)^2, evaluated
     here in the manifestly non-negative form
     (sigma1 + rho*sigma2*B)^2 + (1 - rho^2)*(sigma2*B)^2.
     """
-    _check_order(t, tau)
     sB = p.sigma2 * b_factor(t, tau, p.a)
-    out = (p.sigma1 + p.rho * sB) ** 2 + (1.0 - p.rho**2) * sB**2
-    return out if np.ndim(out) else float(out)
+    q = p.sigma1 + p.rho * sB
+    return q * q + (1.0 - p.rho * p.rho) * sB * sB
 
 
-def integrated_variance(t0, t1, tau: float, p: VasicekParams):
+def _variance(t0: float, t1: float, tau: float, p: VasicekParams) -> float:
+    a, s1, s2, rho = p.a, p.sigma1, p.sigma2, p.rho
+    d = t1 - t0
+    # B(u1 + s) = B(u1) + e^{-a u1} B(s) on [u1, u0], u = tau - t, so both
+    # integrals are sums of non-negative terms, free of cancellation
+    u1 = tau - t1
+    b1, e1 = _b(u1, a), math.exp(-a * u1)
+    int_b, int_b2 = _b_integrals(d, a)
+    int_b2 = d * b1 * b1 + e1 * (2.0 * b1 * int_b + e1 * int_b2)
+    int_b = d * b1 + e1 * int_b
+    return s1 * s1 * d + 2.0 * rho * s1 * s2 * int_b + s2 * s2 * int_b2
+
+
+def integrated_variance(t0: float, t1: float, tau: float, p: VasicekParams) -> float:
     """Integral of `effective_vol_sq` over [t0, t1], in closed form.
 
     For (t0, t1) = (0, tau) this is
@@ -230,28 +230,18 @@ def integrated_variance(t0, t1, tau: float, p: VasicekParams):
     small (d = t1 - t0); a sub-interval shifts them by
     B(u1 + s) = B(u1) + e^{-a u1} B(s), u1 = tau - t1.  This total variance
     is the only statistic of the rate path that the pricing kernels consume.
+    Raises ValueError naming a where it is not finite (an explosive model).
 
     Parameters
     ----------
-    t0, t1 : float or ndarray
+    t0, t1 : float
         Interval bounds with t0 <= t1 <= tau.
     """
-    t0 = np.asarray(t0, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    if np.any(t0 > t1):
+    t0, t1, tau = float(t0), float(t1), float(tau)
+    if t0 > t1:
         raise ValueError("interval bounds must satisfy t0 <= t1")
     _check_order(t1, tau)
-    a, s1, s2, rho = p.a, p.sigma1, p.sigma2, p.rho
-    d = t1 - t0
-    # B(u1 + s) = B(u1) + e^{-a u1} B(s) on [u1, u0], u = tau - t, so both
-    # integrals are sums of non-negative terms, free of cancellation
-    u1 = tau - t1
-    b1, e1 = _b(u1, a), np.exp(-a * u1)
-    int_b, int_b2 = _b_integrals(d, a)
-    int_b2 = d * b1 * b1 + e1 * (2.0 * b1 * int_b + e1 * int_b2)
-    int_b = d * b1 + e1 * int_b
-    out = s1 * s1 * d + 2.0 * rho * s1 * s2 * int_b + s2 * s2 * int_b2
-    return out if out.ndim else float(out)
+    return _finite("integrated variance", tau, p.a, _variance, t0, t1, tau, p)
 
 
 def bond_price_from_ode(r: float, t: float, tau: float, p: VasicekParams) -> float:
@@ -260,11 +250,13 @@ def bond_price_from_ode(r: float, t: float, tau: float, p: VasicekParams) -> flo
     Solves B' = a*B - 1 and f' = a*theta*B - sigma2^2*B^2/2 backwards from
     the terminal condition B(tau) = f(tau) = 0, then returns exp(f - r*B).
     Exists purely to cross-check `bond_price` by an independent route.
-    Raises ValueError naming a where the solution leaves the float range
-    (an explosive model), as `bond_price` does.
+    Where the log price f - r*B passes the log of the largest float on the
+    way (an explosive model), a terminal event stops the solver there, and
+    this raises a ValueError naming a, as `bond_price` does.
     """
     from scipy.integrate import solve_ivp
 
+    r, t, tau = float(r), float(t), float(tau)
     _check_order(t, tau)
     if t == tau:
         return 1.0
@@ -273,11 +265,14 @@ def bond_price_from_ode(r: float, t: float, tau: float, p: VasicekParams) -> flo
         B, _ = y
         return [p.a * B - 1.0, p.a * p.theta * B - 0.5 * p.sigma2**2 * B * B]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (tau, t), [0.0, 0.0], rtol=1e-12, atol=1e-14,
-                        dense_output=False, method="RK45")
-        B_end, f_end = sol.y[0, -1], sol.y[1, -1]
-        out = _finite(np.exp(f_end - r * B_end), "ODE bond price", tau, p.a)
+    def overflow(s, y):
+        return _LOG_FLOAT_MAX - (y[1] - r * y[0])
+    overflow.terminal = True
+
+    sol = solve_ivp(rhs, (tau, t), [0.0, 0.0], rtol=1e-12, atol=1e-14,
+                    dense_output=False, method="RK45", events=overflow)
+    log_p = math.inf if sol.status == 1 else float(sol.y[1, -1] - r * sol.y[0, -1])
+    out = _finite("ODE bond price", tau, p.a, math.exp, log_p)
     if not sol.success:
         raise RuntimeError(f"bond ODE integration failed: {sol.message}")
     return out

@@ -7,6 +7,10 @@ The valuation recipe for a knock-out call struck at K:
 3. value the knock-out call on the driftless forward, in forward units,
 4. multiply by the bond price P to return from forward to cash units.
 
+Steps 1 and 2 are the float closed forms of `model.py`, a few microseconds
+each, so every price evaluates them afresh: `price_curve` prices each spot
+by `price`, and nothing is cached between calls.
+
 Step 3 is the integral of an absorbing transition kernel against the payoff
 (e^{x'} - K), and one scalar helper, `knockout_call_forward`, does it for
 both products.  The kernel of the well has two exact expansions (Kunitomo
@@ -41,11 +45,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .model import (VasicekParams, _require_finite, bond_price,
+from .model import (_LOG_FLOAT_MAX, VasicekParams, _require_finite, bond_price,
                     integrated_variance)
 
 SINGLE_UP = "single_up"
@@ -56,7 +59,6 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LN2 = math.log(2.0)
 _LN_4_OVER_PI = math.log(4.0 / math.pi)
 _PI2_HALF = 0.5 * math.pi**2
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp() overflows above this
 _EPS = sys.float_info.epsilon
 # Truncation target of both corridor series, as a share of the forward e^x.
 _SERIES_TOL = 1e-16
@@ -143,61 +145,26 @@ class PriceCurve:
     option: OptionSpec
 
 
-class _Valuation:
-    """The spot-independent part of a valuation at one short rate and time.
-
-    Holds the bond price P and the forward variance v, each computed on
-    first use.  `price_curve` builds one per curve, so a curve evaluates
-    each of them once rather than once per spot; a bond price that cannot
-    be valued (an explosive model) raises its ValueError on every use, so
-    each row of a curve reports it.
-    """
-
-    def __init__(self, spec: OptionSpec, p: VasicekParams, rate: float, time: float):
-        self.spec, self.p, self.rate, self.time = spec, p, rate, time
-
-    @cached_property
-    def disc(self) -> float:
-        return bond_price(self.rate, self.time, self.spec.maturity, self.p)
-
-    @cached_property
-    def v(self) -> float:
-        return integrated_variance(self.time, self.spec.maturity, self.spec.maturity, self.p)
-
-    def log_forward(self, spot: float) -> float:
-        if not 0.0 < self.disc < math.inf:
-            raise ValueError(
-                f"bond price {self.disc!r} over maturity {self.spec.maturity!r} is not a "
-                f"positive finite number: the rate model with a={self.p.a!r} explodes "
-                f"over this horizon")
-        return math.log(spot / self.disc)
-
-    def price(self, spot: float) -> PriceResult:
-        spec = self.spec
-        x = self.log_forward(spot)
-        lower, upper = spec.walls
-        if not lower < x < upper:
-            return PriceResult(0.0, knocked_out=True)
-        if max(math.log(spec.strike), lower) >= upper:
-            return PriceResult(0.0)
-        if upper > _LOG_FLOAT_MAX:
-            raise ValueError(
-                f"log_barriers[{len(spec.log_barriers) - 1}] = {upper!r}: the barrier "
-                f"level exp({upper!r}) overflows a float")
-        v = self.v
-        if v == 0.0:
-            return PriceResult(self.disc * max(math.exp(x) - spec.strike, 0.0))
-        return PriceResult(self.disc * knockout_call_forward(x, spec.strike, lower, upper, v))
+def _discount_and_log_forward(state: MarketState, spec: OptionSpec,
+                              p: VasicekParams) -> tuple[float, float]:
+    """(P, x): the bond price P(r, t; tau) and the log forward x = ln(S / P)."""
+    disc = bond_price(state.rate, state.time, spec.maturity, p)
+    if not state.spot < disc * sys.float_info.max:  # S / P overflows, or P is 0
+        raise ValueError(
+            f"bond price {disc!r} over maturity {spec.maturity!r} underflows: the forward "
+            f"price spot / bond is past the float range for the rate model with "
+            f"a={p.a!r}, theta={p.theta!r}, sigma2={p.sigma2!r}")
+    return disc, math.log(state.spot / disc)
 
 
 def log_forward(state: MarketState, spec: OptionSpec, p: VasicekParams) -> float:
     """Log forward price x = ln(S / P(r, t; tau)).
 
     Raises ValueError, naming ``a`` and the maturity, when the bond price
-    is not a positive finite number (an explosive model, ``a < 0`` over a
-    long horizon).
+    is not finite (an explosive model, ``a < 0`` over a long horizon) or
+    underflows to zero.
     """
-    return _Valuation(spec, p, state.rate, state.time).log_forward(state.spot)
+    return _discount_and_log_forward(state, spec, p)[1]
 
 
 def _norm_cdf(z: float) -> float:
@@ -390,8 +357,25 @@ def knockout_call_forward(x: float, strike: float, lower: float, upper: float,
     return _sine_sum(x, strike, lower, upper, v, int(n_sines))
 
 
-def price_single_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams, *,
-                         terms: _Valuation | None = None) -> PriceResult:
+def _price(state: MarketState, spec: OptionSpec, p: VasicekParams) -> PriceResult:
+    """P times `knockout_call_forward` at the state's log forward, for either kind."""
+    disc, x = _discount_and_log_forward(state, spec, p)
+    lower, upper = spec.walls
+    if not lower < x < upper:
+        return PriceResult(0.0, knocked_out=True)
+    if max(math.log(spec.strike), lower) >= upper:
+        return PriceResult(0.0)
+    if upper > _LOG_FLOAT_MAX:
+        raise ValueError(
+            f"log_barriers[{len(spec.log_barriers) - 1}] = {upper!r}: the barrier "
+            f"level exp({upper!r}) overflows a float")
+    v = integrated_variance(state.time, spec.maturity, spec.maturity, p)
+    if v == 0.0:
+        return PriceResult(disc * max(math.exp(x) - spec.strike, 0.0))
+    return PriceResult(disc * knockout_call_forward(x, spec.strike, lower, upper, v))
+
+
+def price_single_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams) -> PriceResult:
     """Value an up-and-out call under stochastic rates.
 
     Returns P(r, t; tau) times `knockout_call_forward(x, K, -inf, B, v)`,
@@ -403,66 +387,55 @@ def price_single_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams,
 
     A spot whose log forward is at or beyond the barrier prices to zero and
     is flagged as knocked out; a strike at or above the barrier leaves no
-    payoff region and also prices to zero.  ``terms``, the spot-independent
-    part at the state's rate and time, is passed by `price_curve`; other
-    callers leave it unset.
+    payoff region and also prices to zero.
     """
     if spec.barrier_kind != SINGLE_UP:
         raise ValueError(f"expected a single_up option, got {spec.barrier_kind!r}")
-    if terms is None:
-        terms = _Valuation(spec, p, state.rate, state.time)
-    return terms.price(state.spot)
+    return _price(state, spec, p)
 
 
-def price_double_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams, *,
-                         terms: _Valuation | None = None) -> PriceResult:
+def price_double_barrier(state: MarketState, spec: OptionSpec, p: VasicekParams) -> PriceResult:
     """Value a knock-out call inside an absorbing corridor.
 
     Returns P times `knockout_call_forward(x, K, lower, upper, v)`: the
     integral of `double_barrier_kernel(x, x', v, lower, upper)` against
     (e^{x'} - K) over max(ln K, lower) < x' < upper, summed in closed form
-    over the shorter of the image and the sine series.  ``terms`` is as for
-    `price_single_barrier`.
+    over the shorter of the image and the sine series.
     """
     if spec.barrier_kind != DOUBLE:
         raise ValueError(f"expected a double option, got {spec.barrier_kind!r}")
-    if terms is None:
-        terms = _Valuation(spec, p, state.rate, state.time)
-    return terms.price(state.spot)
+    return _price(state, spec, p)
 
 
-def price(state: MarketState, spec: OptionSpec, p: VasicekParams, *,
-          terms: _Valuation | None = None) -> PriceResult:
+def price(state: MarketState, spec: OptionSpec, p: VasicekParams) -> PriceResult:
     """Value a knock-out call of either kind.
 
     The one place that picks the pricer for ``spec.barrier_kind``:
     `price_single_barrier` or `price_double_barrier`, looked up when called.
     """
     fn = price_single_barrier if spec.barrier_kind == SINGLE_UP else price_double_barrier
-    return fn(state, spec, p, terms=terms)
+    return fn(state, spec, p)
 
 
 def price_curve(spots, spec: OptionSpec, p: VasicekParams) -> PriceCurve:
     """Price the option over a strictly increasing spot grid at t=0, r=r0.
 
-    The bond price and the variance do not depend on spot and are computed
-    once for the curve.  Knocked-out spots price to zero.  A row that fails
-    with a ValueError (an explosive model, a barrier level that overflows a
-    float) is recorded in ``errors`` for that row, with the price set to
-    NaN, and does not abort the rest of the curve; any other exception
-    propagates.
+    Each spot is priced by `price`.  Knocked-out spots price to zero.  A
+    row that fails with a ValueError (an explosive model, a barrier level
+    that overflows a float) is recorded in ``errors`` for that row, with
+    the price set to NaN, and does not abort the rest of the curve; any
+    other exception propagates.
     """
     spots = np.asarray(spots, dtype=float)
     if spots.size == 0:
         raise ValueError("spot grid must be non-empty")
     if np.any(np.diff(spots) <= 0):
         raise ValueError("spot grid must be strictly increasing")
-    terms = _Valuation(spec, p, p.r0, 0.0)
     prices = np.empty_like(spots)
     errors: list = [None] * spots.size
-    for i, s in enumerate(spots):
+    for i, s in enumerate(spots.tolist()):
         try:
-            prices[i] = price(MarketState(spot=float(s), rate=p.r0), spec, p, terms=terms).price
+            prices[i] = price(MarketState(spot=s, rate=p.r0), spec, p).price
         except ValueError as exc:  # per-row capture
             prices[i] = np.nan
             errors[i] = f"{type(exc).__name__}: {exc}"

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from dataclasses import replace
 
@@ -68,6 +69,30 @@ class TestPriceCommand:
         assert code == 5 and out == ""
         assert err.startswith("error: ") and f"a={float(a)!r}" in err
         assert f"maturity {float(maturity)!r}" in err and len(err.splitlines()) == 1
+
+    def test_underflowing_bond_is_a_pricing_error_named_as_such(self, capsys):
+        # theta = 1e300 discounts the bond to 0: nothing explodes
+        code, out, err = run(capsys, "price", "--theta", "1e300")
+        assert code == 5 and out == ""
+        assert err.startswith("error: bond price 0.0 over maturity 1.0 underflows")
+        assert "a=1.0, theta=1e+300, sigma2=0.3" in err and "explode" not in err
+
+    def test_mc_run_past_the_working_set_limit_is_named_before_allocating(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "price", "--verify", "--paths", "2",
+                             "--steps", "100000000")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 5 and out == ""
+        assert err.startswith("error: steps: 100000000 steps a year over maturity 1 ")
+
+    @pytest.mark.parametrize("flag", [key.replace("_", "-") for key in cli._FLOAT_KEYS])
+    def test_every_float_flag_takes_a_negative_exponent_form(self, flag):
+        args = cli._build_parser().parse_args(["curve", f"--{flag}", "-5e-1"])
+        assert getattr(args, flag.replace("-", "_")) == -0.5
+
+    def test_negative_exponent_form_prices_as_the_equals_form(self, capsys):
+        spaced = run(capsys, "price", "--a", "-5e-1")
+        assert spaced[0] == 0 and spaced == run(capsys, "price", "--a=-5e-1")
 
     def test_overflowing_barrier_level_is_a_pricing_error(self, capsys):
         code, out, err = run(capsys, "price", "--barrier", "1500")

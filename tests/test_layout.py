@@ -8,9 +8,12 @@ with it.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from vasicek_barrier import pricer
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vasicek_barrier"
 CORE = {"model", "pricer"}
@@ -52,3 +55,20 @@ def test_import_scan_sees_oracle_imports():
     assert _sibling_imports(PACKAGE / "mc_oracle.py") == {"model", "pricer"}
     assert {"kernels", "model", "pricer", "quadrature"} <= _sibling_imports(
         PACKAGE / "quad_oracle.py")
+
+
+def test_model_imports_no_numpy():
+    # the closed forms are written once, on floats with math
+    tree = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert "math" in imported and "numpy" not in imported
+
+
+@pytest.mark.parametrize("name", ["price", "price_single_barrier", "price_double_barrier",
+                                  "price_curve", "log_forward"])
+def test_public_pricers_take_no_cached_terms(name):
+    # every price evaluates its bond and variance afresh
+    assert "terms" not in inspect.signature(getattr(pricer, name)).parameters

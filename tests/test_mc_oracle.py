@@ -7,8 +7,8 @@ import pytest
 
 from vasicek_barrier import mc_oracle
 from vasicek_barrier import (MCConfig, MarketState, OptionSpec, VasicekParams,
-                             bond_mc, bond_price, integrated_variance,
-                             log_forward, price_barrier_mc,
+                             b_factor, bond_mc, bond_price, integrated_variance,
+                             log_bond_price, log_forward, price_barrier_mc,
                              price_barrier_mc_two_factor, price_double_barrier,
                              price_single_barrier, up_and_out_call_constant_rate,
                              vanilla_call_forward)
@@ -144,6 +144,48 @@ def _ou_log_discount(z, r0, tau, p):
     w = np.full(n + 1, dt)
     w[[0, -1]] *= 0.5
     return np.array([-math.fsum(w * row) for row in r]), np.abs(r) @ w
+
+
+class TestRunLimits:
+    """A run past the stated size fails by name before it allocates."""
+
+    @pytest.mark.parametrize("estimate, message", [
+        (lambda: price_barrier_mc(STATE, SINGLE, REF, MCConfig(2, 100_000_000, 1)),
+         "100000000 steps a year over maturity 1 make 100000000 steps"),
+        (lambda: price_barrier_mc_two_factor(
+            STATE, OptionSpec.single_up(100.0, 40.0, B_UP), REF, MCConfig(2, 512, 1)),
+         "512 steps a year over maturity 40 make 20480 steps"),
+        (lambda: bond_mc(0.05, 2.0, REF, MCConfig(1_000_000, 10_000, 1)),
+         "10000 steps a year over maturity 2 make 20000 steps"),
+    ], ids=["steps", "maturity", "bond"])
+    def test_rejected_by_name_without_allocating(self, estimate, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^steps: {message} a path, past the limit"):
+                estimate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_the_longest_run_in_the_limit_is_accepted(self):
+        # every configuration in tests/ and demos/ runs: at most 15360 steps
+        assert mc_oracle._n_steps(MCConfig(2, 512, 1), 30.0) == 15360
+        assert mc_oracle._n_steps(MCConfig(2, 1 << 12, 1), 4.0) == mc_oracle._MAX_STEPS
+
+
+def test_grid_helper_equals_per_element_calls():
+    p = VasicekParams(a=0.7, theta=0.04, sigma1=0.3, sigma2=0.3, rho=-0.4, r0=0.05)
+    grid = np.linspace(0.0, 3.0, 1537)  # |a| u crosses the series switch at 1
+    t = grid.tolist()
+    v = mc_oracle._on_grid(lambda t0, t1: integrated_variance(t0, t1, 3.0, p), t[:-1], t[1:])
+    log_a = mc_oracle._on_grid(lambda s: log_bond_price(0.0, s, 3.0, p), t)
+    b = mc_oracle._on_grid(lambda s: b_factor(s, 3.0, p.a), t)
+    assert v.dtype == log_a.dtype == b.dtype == np.float64
+    assert v.tolist() == [integrated_variance(t0, t1, 3.0, p)
+                          for t0, t1 in zip(grid[:-1], grid[1:])]
+    assert log_a.tolist() == [log_bond_price(0.0, s, 3.0, p) for s in grid]
+    assert b.tolist() == [b_factor(s, 3.0, p.a) for s in grid]
 
 
 class TestWorkingSet:

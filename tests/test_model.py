@@ -1,10 +1,13 @@
 import math
+import time
 import warnings
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from vasicek_barrier import (VasicekParams, b_factor, bond_price,
@@ -24,7 +27,9 @@ HORIZONS = [1.0 / 365.0, 1.0, 10.0, 30.0]
 
 
 def _mp_b_integrals(u, a):
-    """(B(u), int_0^u B, int_0^u B^2) in 50-digit arithmetic, from the closed forms."""
+    """(B(u), int_0^u B, int_0^u B^2) in the working precision, from the closed forms."""
+    if a == 0:
+        return u, u * u / 2, u ** 3 / 3
     b = -mpmath.expm1(-a * u) / a
     return b, (u - b) / a, (u - 2 * b - mpmath.expm1(-2 * a * u) / (2 * a)) / (a * a)
 
@@ -43,6 +48,60 @@ def mp_log_bond_price(r, t, tau, p):
         u = mpmath.mpf(tau) - mpmath.mpf(t)
         b, _, ib2 = _mp_b_integrals(u, mpmath.mpf(p.a))
         return float(p.theta * (b - u) + mpmath.mpf(p.sigma2) ** 2 / 2 * ib2 - r * b)
+
+
+def _mp_digits(a, u, d):
+    """Working digits for 50 after the closed forms' cancellation: about
+    three per decade of 1 / |a u| below 1 (int B^2 divides by a^3), and one
+    per decade of u / d for a sub-interval of length d at horizon u."""
+    lost = 3 * max(0.0, -math.log10(abs(a)) - math.log10(u)) if a else 0.0
+    return 55 + int(lost + math.log10(u / d))
+
+
+def mp_closed_forms(r, t0, t1, tau, p):
+    """((value, scale) of B(t0), log P(r, t0; tau) and int_t0^t1 of the
+    forward variance), each scale the sum of its terms' sizes, so that a
+    value near 0 by cancellation is held to its terms' rounding."""
+    with mpmath.workdps(_mp_digits(p.a, tau - t0, t1 - t0)):
+        a, s1, s2, rho, theta = (mpmath.mpf(x) for x in (p.a, p.sigma1, p.sigma2, p.rho, p.theta))
+        d = mpmath.mpf(t1) - mpmath.mpf(t0)
+        b0, ib0, ib20 = _mp_b_integrals(mpmath.mpf(tau) - mpmath.mpf(t0), a)
+        _, ib1, ib21 = _mp_b_integrals(mpmath.mpf(tau) - mpmath.mpf(t1), a)
+        u0 = mpmath.mpf(tau) - mpmath.mpf(t0)
+        bond = [theta * (b0 - u0), s2 * s2 / 2 * ib20, -r * b0]
+        var = [s1 * s1 * d, 2 * rho * s1 * s2 * (ib0 - ib1), s2 * s2 * (ib20 - ib21)]
+        return [(float(sum(terms)), float(sum(abs(x) for x in terms)))
+                for terms in ([b0], bond, var)]
+
+
+@st.composite
+def switch_cases(draw):
+    """(p, tau, t0, t1): a in [-5, 50], tau from a day to 30 years, and a
+    sub-interval [t0, t1].  Half the draws take |a| tau log-uniform in
+    [1e-4, 10], a fifth of those within 1.2% of the switch at 1."""
+    tau = math.exp(draw(st.floats(math.log(1.0 / 365.0), math.log(30.0))))
+    decades = st.one_of(st.floats(-4.0, 1.0), st.floats(-0.005, 0.005))
+    scaled = st.tuples(st.sampled_from([-1.0, 1.0]), decades).map(
+        lambda sd: min(max(sd[0] * 10.0 ** sd[1] / tau, -5.0), 50.0))
+    a = draw(st.one_of(st.floats(-5.0, 50.0), scaled))
+    lo, span = draw(st.floats(0.0, 1.0)), draw(st.floats(1e-6, 1.0))
+    t0 = lo * (1.0 - span) * tau
+    p = VasicekParams(a=a, theta=draw(st.floats(-0.05, 0.2)), sigma1=draw(st.floats(0.0, 1.0)),
+                      sigma2=draw(st.floats(0.0, 1.0)), rho=draw(st.floats(-1.0, 1.0)),
+                      r0=draw(st.floats(-0.05, 0.2)))
+    return p, tau, t0, min(t0 + span * tau, tau)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=switch_cases())
+def test_float_closed_forms_match_mpmath_across_the_series_switch(case):
+    p, tau, t0, t1 = case
+    for t_lo, t_hi in ((0.0, tau), (t0, t1)):
+        want = mp_closed_forms(p.r0, t_lo, t_hi, tau, p)
+        got = [b_factor(t_lo, tau, p.a), log_bond_price(p.r0, t_lo, tau, p),
+               integrated_variance(t_lo, t_hi, tau, p)]
+        for value, (exact, scale) in zip(got, want):
+            assert abs(value - exact) <= 1e-12 * scale, (value, exact, scale)
 
 
 def test_params_validation():
@@ -70,27 +129,25 @@ class TestBFactor:
             b_factor(1.5, 1.0, 1.0)
 
     def test_branch_continuity_at_threshold(self):
-        # series branch just below |a| = 1e-6, closed form just above
+        # series branch just below |a u| = 1, closed form just above
         for tau in (0.5, 1.0, 10.0):
-            below = b_factor(0.0, tau, 1e-6 * (1 - 1e-9))
-            above = b_factor(0.0, tau, 1e-6 * (1 + 1e-9))
-            assert below == pytest.approx(above, rel=1e-10)
-            below = b_factor(0.0, tau, -1e-6 * (1 - 1e-9))
-            above = b_factor(0.0, tau, -1e-6 * (1 + 1e-9))
-            assert below == pytest.approx(above, rel=1e-10)
+            for sign in (1.0, -1.0):
+                below = b_factor(0.0, tau, sign / tau * (1 - 1e-12))
+                above = b_factor(0.0, tau, sign / tau * (1 + 1e-12))
+                assert below == pytest.approx(above, rel=1e-11)
 
-    def test_vectorized_over_time(self):
-        t = np.linspace(0.0, 1.0, 5)
-        vals = b_factor(t, 1.0, 2.0)
-        assert vals.shape == t.shape
-        assert vals[-1] == 0.0
+    def test_float_at_each_time(self):
+        for t in np.linspace(0.0, 1.0, 5):
+            val = b_factor(t, 1.0, 2.0)
+            assert type(val) is float
+            assert val == pytest.approx(-math.expm1(-2.0 * (1.0 - t)) / 2.0, rel=1e-15)
+        assert b_factor(1.0, 1.0, 2.0) == 0.0
 
 
 class TestBondPrice:
     def test_exp_of_log_form(self):
-        t = np.array([0.0, 0.3, 0.9])
-        np.testing.assert_array_equal(bond_price(0.05, t, 1.0, REF),
-                                      np.exp(log_bond_price(0.05, t, 1.0, REF)))
+        for t in (0.0, 0.3, 0.9):
+            assert bond_price(0.05, t, 1.0, REF) == math.exp(log_bond_price(0.05, t, 1.0, REF))
         assert log_bond_price(0.05, 1.0, 1.0, REF) == 0.0
 
     def test_log_form_finite_where_price_overflows(self):
@@ -142,6 +199,15 @@ class TestBondPrice:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"maturity 10\.0 is not finite.*a=-80\.0"):
                 price(0.05, 0.0, 10.0, replace(REF, a=-80.0))
+
+
+    def test_ode_stops_where_its_solution_leaves_the_float_range(self):
+        # it ran to maturity before, 2.3 s at a = -80 over 10 years
+        bond_price_from_ode(0.05, 0.0, 1.0, REF)  # imports scipy outside the timing
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"maturity 10\.0 is not finite.*a=-80\.0"):
+            bond_price_from_ode(0.05, 0.0, 10.0, replace(REF, a=-80.0))
+        assert time.perf_counter() - t0 < 0.2
 
 
 class TestEffectiveVolSq:
@@ -215,20 +281,14 @@ class TestIntegratedVariance:
         assert integrated_variance(0.0, tau, tau, p) == pytest.approx(
             mp_integrated_variance(0.0, tau, tau, p), rel=1e-12, abs=0.0)
         grid = np.linspace(0.0, tau, 241)
-        steps = integrated_variance(grid[:-1], grid[1:], tau, p)
-        want = [mp_integrated_variance(grid[j], grid[j + 1], tau, p) for j in (0, 120, 239)]
-        np.testing.assert_allclose(steps[[0, 120, 239]], want, rtol=1e-12, atol=0.0)
-        assert np.all(steps > 0.0)
+        steps = [integrated_variance(t0, t1, tau, p) for t0, t1 in zip(grid[:-1], grid[1:])]
+        for j in (0, 120, 239):
+            assert steps[j] == pytest.approx(mp_integrated_variance(grid[j], grid[j + 1], tau, p),
+                                             rel=1e-12, abs=0.0)
+        assert min(steps) > 0.0
 
     def test_ordering_violation_rejected(self):
         with pytest.raises(ValueError):
             integrated_variance(0.6, 0.4, 1.0, REF)
         with pytest.raises(ValueError):
             integrated_variance(0.0, 1.2, 1.0, REF)
-
-    def test_vectorized_steps_match_scalar(self):
-        grid = np.linspace(0.0, 1.0, 9)
-        vec = integrated_variance(grid[:-1], grid[1:], 1.0, REF)
-        for j in range(8):
-            assert vec[j] == pytest.approx(
-                integrated_variance(grid[j], grid[j + 1], 1.0, REF), rel=1e-14)
