@@ -5,6 +5,11 @@ matching the reference figure parameters, a flat key=value config file given
 with --config, and command-line flags.  Outputs (CSV or SVG) are
 byte-identical for identical resolved configurations.
 
+`verify` computes every production value it compares before its first
+check, then runs one table of named oracle checks, one output line per
+row; an oracle that cannot evaluate the inputs FAILs its own row, on the
+table loop's one failure path.
+
 Exit codes: 0 success, 1 configuration error, 2 price requested for a
 knocked-out spot, 3 verification failure, 4 a curve row failed to price
 (each failed row is reported on stderr), 5 a pricing error: the model or
@@ -79,7 +84,6 @@ class JobConfig:
     sigma2: float
     r0: float
     sweep_name: str | None
-    sweep_values: tuple
     grid: tuple
     paths: int
     steps: int
@@ -87,6 +91,7 @@ class JobConfig:
     out: str | None
     format: str
     verify_mc: bool = False
+    sweep_params: tuple = ()  # one VasicekParams per sweep value, set by `_resolve`
 
     @property
     def params(self) -> model.VasicekParams:
@@ -253,18 +258,23 @@ def _resolve(args: argparse.Namespace) -> JobConfig:
     sweep_name, sweep_values = _parse_sweep(values["sweep"])
     grid = _parse_grid(values["grid"])
 
-    return JobConfig(
+    cfg = JobConfig(
         command=args.command,
         spot=values["spot"], strike=values["strike"], maturity=values["maturity"],
         barrier=values["barrier"], barrier_low=values["barrier_low"],
         barrier_high=values["barrier_high"],
         a=values["a"], theta=values["theta"], rho=values["rho"],
         sigma1=values["sigma1"], sigma2=values["sigma2"], r0=values["r0"],
-        sweep_name=sweep_name, sweep_values=sweep_values, grid=grid,
+        sweep_name=sweep_name, grid=grid,
         paths=values["paths"], steps=values["steps"], seed=values["seed"],
         out=values["out"], format=values["format"],
         verify_mc=bool(getattr(args, "verify", None)),
     )
+    try:  # a sweep value the model rejects, such as rho=2
+        variants = tuple(replace(cfg.params, **{sweep_name: v}) for v in sweep_values)
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
+    return replace(cfg, sweep_params=variants)
 
 
 def _fmt(x: float) -> str:
@@ -294,8 +304,8 @@ def _curve_columns(cfg: JobConfig) -> tuple[list, np.ndarray, list, list]:
         labels = ["price"]
         variants = [cfg.params]
     else:
-        labels = [f"{cfg.sweep_name}={v:g}" for v in cfg.sweep_values]
-        variants = [replace(cfg.params, **{cfg.sweep_name: v}) for v in cfg.sweep_values]
+        variants = cfg.sweep_params
+        labels = [f"{cfg.sweep_name}={getattr(q, cfg.sweep_name):g}" for q in variants]
     curves = [pricer.price_curve(spots, cfg.option, p) for p in variants]
     failed = [(label, s, err) for label, curve in zip(labels, curves)
               for s, err in zip(spots, curve.errors) if err is not None]
@@ -413,139 +423,117 @@ def _mc_check(analytic: float, est: mc_oracle.MCEstimate,
         f"<= rule-of-three bound {bound:.3e}")
 
 
-def _oracle_failure(exc: Exception) -> tuple[bool, str]:
-    """(passed, detail) of a check whose oracle cannot evaluate the inputs."""
-    return False, f"oracle cannot evaluate these inputs: {type(exc).__name__}: {exc}"
-
-
-def _mc_oracle_check(analytic: float, estimate, payoff_cap: float) -> tuple[bool, str]:
-    """`_mc_check` of the estimate ``estimate()``, or the failure of an MC
-    oracle that cannot evaluate the inputs (paths past the float range)."""
-    try:
-        est = estimate()
-    except ValueError as exc:
-        return _oracle_failure(exc)
-    return _mc_check(analytic, est, payoff_cap)
-
-
-def _bond_ode_check(analytic_bond: float, p: model.VasicekParams,
-                    tau: float) -> tuple[bool, str]:
-    """The closed-form bond against the ODE's, or the failure of an ODE that
-    leaves the float range."""
-    try:
-        ode_bond = model.bond_price_from_ode(p.r0, 0.0, tau, p)
-    except ValueError as exc:
-        return _oracle_failure(exc)
+def _bond_ode_check(analytic_bond: float, ode_bond: float) -> tuple[bool, str]:
+    """The closed-form bond against the ODE's."""
     rel = abs(analytic_bond - ode_bond) / abs(ode_bond)
     return rel <= 1e-8, f"rel={rel:.2e} (analytic {analytic_bond:.10f}, ode {ode_bond:.10f})"
+
+
+def _rel_check(ours, oracle, over: str) -> tuple[bool, str]:
+    """Production prices against an oracle's, to 1e-9 relative (floored at 1e-12)."""
+    worst = max(abs(o - q) / max(abs(q), 1e-12) for o, q in zip(ours, oracle))
+    return worst <= 1e-9, f"max rel={worst:.2e} over {over}"
+
+
+def _composition_check(kernel, draw, lo: float, hi: float, split: float,
+                       total: float) -> tuple[bool, str]:
+    """Chapman-Kolmogorov over (lo, hi) at ten start pairs (x, x') = (draw(), draw()).
+
+    The second factor of kernel(x, x', v) is evaluated with its arguments
+    swapped via the prefactor symmetry k(z, y) = e^{z-y} k(y, z), which
+    keeps the vectorized argument in the x' slot.  Past the float range
+    that factor overflows, and the quadrature raises on the non-finite
+    integrand instead of numpy warning.
+    """
+    worst = 0.0
+    for _ in range(10):
+        x, xp = draw(), draw()
+        with np.errstate(over="ignore", invalid="ignore"):
+            val, _ = quadrature.integrate(
+                lambda z: kernel(x, z, split) * kernel(xp, z, total - split) * np.exp(z - xp),
+                lo, hi)
+        worst = max(worst, abs(val - kernel(x, xp, total)))
+    return worst <= 1e-8, f"max abs={worst:.2e} over 10 pairs"
 
 
 def _verify_checks(cfg: JobConfig):
     """Yield (name, passed, detail) for each oracle cross-check.
 
-    A model that cannot be valued over the maturity (an explosive bond
-    price) raises its ValueError before the first check.  An oracle that
-    cannot evaluate the inputs (a corridor kernel past its mode budget, a
-    quadrature past its panel budget, MC paths or the bond ODE past the
-    float range) fails its own check by name.
+    Production values come first, so that an error in production code (an
+    explosive model, a barrier level past the float range) raises its
+    ValueError before any check and is never taken for an oracle's.  Then
+    one table row per check, (name, check), in output order: each check
+    runs its oracle and returns (passed, detail).  One loop runs the table,
+    and its one failure path FAILs by name a check whose oracle cannot
+    evaluate the inputs (ValueError or QuadratureError: a corridor kernel
+    past its mode budget, a quadrature past its panel budget, MC paths or
+    the bond ODE past the float range).
     """
-    p = cfg.params
-    tau = cfg.maturity
-    mc_cfg = cfg.mc_config
+    p, tau, mc_cfg = cfg.params, cfg.maturity, cfg.mc_config
     state = pricer.MarketState(spot=cfg.spot, rate=p.r0, time=0.0)
     single = pricer.OptionSpec.single_up(cfg.strike, tau, cfg.barrier)
-    pricer.log_forward(state, single, p)  # raises on an explosive model, by name
-
-    analytic_bond = model.bond_price(p.r0, 0.0, tau, p)
-    yield ("bond vs monte carlo",
-           *_mc_oracle_check(analytic_bond, lambda: mc_oracle.bond_mc(p.r0, tau, p, mc_cfg),
-                             payoff_cap=1.0))
-
-    yield ("bond vs ode solution", *_bond_ode_check(analytic_bond, p, tau))
-
-    ana_s = pricer.price_single_barrier(state, single, p).price
-    cap_single = max(math.exp(cfg.barrier) - cfg.strike, 0.0)
-    for label, fn in (("forward-measure mc", mc_oracle.price_barrier_mc),
-                      ("two-factor mc", mc_oracle.price_barrier_mc_two_factor)):
-        yield (f"single barrier vs {label}",
-               *_mc_oracle_check(ana_s, lambda: fn(state, single, p, mc_cfg), cap_single))
-
     low = cfg.barrier_low if cfg.barrier_low is not None else math.log(100.0)
     high = cfg.barrier_high if cfg.barrier_high is not None else cfg.barrier
     double = pricer.OptionSpec.double(cfg.strike, tau, low, high)
+    const = replace(p, theta=p.r0, sigma2=0.0)
+    spot_states = [pricer.MarketState(spot=s, rate=p.r0, time=0.0) for s in _VERIFY_SPOTS]
+    cases = [(st, option) for st in spot_states for option in (single, double)]
+
+    pricer.log_forward(state, single, p)  # raises on an explosive model, by name
+    bond = model.bond_price(p.r0, 0.0, tau, p)
+    ana_s = pricer.price_single_barrier(state, single, p).price
     ana_d = pricer.price_double_barrier(state, double, p).price
-    yield ("double barrier vs forward-measure mc",
-           *_mc_oracle_check(ana_d, lambda: mc_oracle.price_barrier_mc(state, double, p, mc_cfg),
-                             max(math.exp(high) - cfg.strike, 0.0)))
-
-    worst = 0.0
-    const = model.VasicekParams(a=p.a, theta=p.r0, sigma1=p.sigma1, sigma2=0.0,
-                                rho=p.rho, r0=p.r0)
-    disc = math.exp(-p.r0 * tau)
-    for s in _VERIFY_SPOTS:
-        ours = pricer.price_single_barrier(
-            pricer.MarketState(spot=s, rate=p.r0, time=0.0), single, const).price
-        closed = pricer.up_and_out_call_constant_rate(
-            s / disc, cfg.strike, math.exp(cfg.barrier), p.r0, p.sigma1, tau,
-            dividend_yield=p.r0)
-        denom = max(abs(closed), 1e-12)
-        worst = max(worst, abs(ours - closed) / denom)
-    yield ("constant-rate closed-form reduction", worst <= 1e-9,
-           f"max rel={worst:.2e} over 6 spots; holds the production image sum, the bond "
-           f"and the variance mapping to the textbook constant-rate reflection formula")
-
-    cases = [(pricer.MarketState(spot=s, rate=p.r0, time=0.0), option)
-             for s in _VERIFY_SPOTS for option in (single, double)]
-    ours = [pricer.price(state, option, p).price for state, option in cases]
-    try:
-        quads = [quad_oracle.price_by_quadrature(state, option, p).price
-                 for state, option in cases]
-    except (ValueError, quadrature.QuadratureError) as exc:
-        yield ("closed form vs kernel quadrature", *_oracle_failure(exc))
-    else:
-        worst = max(abs(o - q) / max(abs(q), 1e-12) for o, q in zip(ours, quads))
-        yield ("closed form vs kernel quadrature", worst <= 1e-9,
-               f"max rel={worst:.2e} over 6 spots, both barrier kinds")
-
-    # kernel composition: the second factor is evaluated with its arguments
-    # swapped via the prefactor symmetry k(z, y) = e^{z-y} k(y, z), which
-    # keeps the vectorized argument in the x' slot
-    rng = np.random.default_rng(1234)
+    ours_const = [pricer.price_single_barrier(st, single, const).price for st in spot_states]
+    ours = [pricer.price(st, option, p).price for st, option in cases]
     sig = model.integrated_variance(0.0, tau, tau, p)
     split = model.integrated_variance(0.0, 0.4 * tau, tau, p)
-    upper = cfg.barrier
-    worst = 0.0
-    try:
-        for _ in range(10):
-            x = upper - rng.uniform(0.05, 3.0) * math.sqrt(sig)
-            xp = upper - rng.uniform(0.05, 3.0) * math.sqrt(sig)
-            lo = upper - 12.0 * math.sqrt(sig)
-            val, _ = quadrature.integrate(
-                lambda z: kernels.barrier_kernel(x, z, split, upper)
-                * kernels.barrier_kernel(xp, z, sig - split, upper) * np.exp(z - xp),
-                lo, upper)
-            worst = max(worst, abs(val - kernels.barrier_kernel(x, xp, sig, upper)))
-    except (ValueError, quadrature.QuadratureError) as exc:
-        yield ("chapman-kolmogorov (single kernel)", *_oracle_failure(exc))
-    else:
-        yield ("chapman-kolmogorov (single kernel)", worst <= 1e-8,
-               f"max abs={worst:.2e} over 10 pairs")
 
-    worst = 0.0
-    try:
-        for _ in range(10):
-            x = rng.uniform(low + 0.05 * (high - low), high - 0.05 * (high - low))
-            xp = rng.uniform(low + 0.05 * (high - low), high - 0.05 * (high - low))
-            val, _ = quadrature.integrate(
-                lambda z: kernels.double_barrier_kernel(x, z, split, low, high)
-                * kernels.double_barrier_kernel(xp, z, sig - split, low, high)
-                * np.exp(z - xp), low, high)
-            worst = max(worst, abs(val - kernels.double_barrier_kernel(x, xp, sig, low, high)))
-    except (ValueError, quadrature.QuadratureError) as exc:
-        yield ("chapman-kolmogorov (double kernel)", *_oracle_failure(exc))
-    else:
-        yield ("chapman-kolmogorov (double kernel)", worst <= 1e-8,
-               f"max abs={worst:.2e} over 10 pairs")
+    cap_single = max(math.exp(cfg.barrier) - cfg.strike, 0.0)
+    cap_double = max(math.exp(high) - cfg.strike, 0.0)
+    disc = math.exp(-p.r0 * tau)
+    rng = np.random.default_rng(1234)
+    checks = (
+        ("bond vs monte carlo",
+         lambda: _mc_check(bond, mc_oracle.bond_mc(p.r0, tau, p, mc_cfg), 1.0)),
+        ("bond vs ode solution",
+         lambda: _bond_ode_check(bond, model.bond_price_from_ode(p.r0, 0.0, tau, p))),
+        ("single barrier vs forward-measure mc",
+         lambda: _mc_check(ana_s, mc_oracle.price_barrier_mc(state, single, p, mc_cfg),
+                           cap_single)),
+        ("single barrier vs two-factor mc",
+         lambda: _mc_check(ana_s, mc_oracle.price_barrier_mc_two_factor(
+             state, single, p, mc_cfg), cap_single)),
+        ("double barrier vs forward-measure mc",
+         lambda: _mc_check(ana_d, mc_oracle.price_barrier_mc(state, double, p, mc_cfg),
+                           cap_double)),
+        ("constant-rate closed-form reduction",
+         lambda: _rel_check(ours_const, [pricer.up_and_out_call_constant_rate(
+             s / disc, cfg.strike, math.exp(cfg.barrier), p.r0, p.sigma1, tau, dividend_yield=p.r0)
+             for s in _VERIFY_SPOTS],
+             "6 spots; holds the production image sum, the bond and the variance mapping "
+             "to the textbook constant-rate reflection formula")),
+        ("closed form vs kernel quadrature",
+         lambda: _rel_check(ours, [quad_oracle.price_by_quadrature(st, option, p).price
+                                   for st, option in cases],
+                            "6 spots, both barrier kinds")),
+        ("chapman-kolmogorov (single kernel)",
+         lambda: _composition_check(
+             lambda x, xp, v: kernels.barrier_kernel(x, xp, v, cfg.barrier),
+             lambda: cfg.barrier - rng.uniform(0.05, 3.0) * math.sqrt(sig),
+             cfg.barrier - 12.0 * math.sqrt(sig), cfg.barrier, split, sig)),
+        ("chapman-kolmogorov (double kernel)",
+         lambda: _composition_check(
+             lambda x, xp, v: kernels.double_barrier_kernel(x, xp, v, low, high),
+             lambda: rng.uniform(low + 0.05 * (high - low), high - 0.05 * (high - low)),
+             low, high, split, sig)),
+    )
+    for name, check in checks:
+        try:
+            passed, detail = check()
+        except (ValueError, quadrature.QuadratureError) as exc:
+            passed, detail = False, (f"oracle cannot evaluate these inputs: "
+                                     f"{type(exc).__name__}: {exc}")
+        yield name, passed, detail
 
 
 def run_verify(cfg: JobConfig) -> int:

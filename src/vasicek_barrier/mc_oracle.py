@@ -105,6 +105,10 @@ _OU_RANGE = 700.0
 # Steps a path, checked before anything is allocated: a worker's path array
 # of 2**11 rows then stays under 256 MB (the two-factor's under 512 MB).
 _MAX_STEPS = 1 << 14
+# Paths a run, checked when the configuration is made: `_simulate` lists
+# every block and submits it to its pool at once, and the 8192 blocks of
+# 2**11 paths here hold about 14 MB of futures.
+_MAX_PATHS = 1 << 24
 # Elements of x per chunk of the knock monitor's near-wall rows: bounds its
 # temporaries at about 0.5 MB each.  A 32-step block of 2**11 rows is one chunk.
 _MONITOR_CHUNK = 1 << 16
@@ -130,6 +134,8 @@ class MCConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
+        if self.n_paths > _MAX_PATHS:
+            raise ValueError(f"paths: {self.n_paths} paths a run, past the limit of {_MAX_PATHS}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.monitoring not in (BRIDGE, DISCRETE):

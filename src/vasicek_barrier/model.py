@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp() overflows above this
+_BOND_INPUTS = ("theta", "sigma2")  # with a, the parameters of the bond price
 
 # Taylor coefficients in x = a u, highest power first, of B and its scaled
 # integrals (`_b`, `_b_integrals`):
@@ -85,16 +86,18 @@ def _check_order(t: float, tau: float) -> None:
         raise ValueError(f"valuation time t={t} exceeds maturity tau={tau}")
 
 
-def _finite(quantity: str, tau: float, a: float, f, *args) -> float:
-    """f(*args), or a ValueError naming a where it overflows (OverflowError
-    from `math`, inf or NaN from float arithmetic): an explosive model."""
+def _finite(quantity: str, tau: float, a: float, f, *args, p=None, names=()) -> float:
+    """f(*args), or a ValueError where it overflows (OverflowError from `math`,
+    inf or NaN from float arithmetic) that names the maturity, a and the
+    fields ``names`` of ``p``, and says the model explodes only where a < 0."""
     try:
         out = f(*args)
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
-        raise ValueError(f"{quantity} over maturity {tau!r} is not finite: the rate model "
-                         f"with a={a!r} explodes over this horizon")
+        inputs = ", ".join([f"a={a!r}"] + [f"{n}={getattr(p, n)!r}" for n in names])
+        cause = "the rate model explodes over this horizon" if a < 0 else "a float overflows"
+        raise ValueError(f"{quantity} over maturity {tau!r} is not finite at {inputs}: {cause}")
     return out
 
 
@@ -167,9 +170,10 @@ def log_bond_price(r: float, t: float, tau: float, p: VasicekParams) -> float:
     are those of `bond_price`.  For a negative mean-reversion speed over a
     long horizon the bond price itself overflows while its log is still
     finite; past that, where the log is not finite either, this raises a
-    ValueError naming a.
+    ValueError naming a, theta and sigma2.
     """
-    return _finite("log bond price", tau, p.a, _log_bond, float(r), float(t), float(tau), p)
+    return _finite("log bond price", tau, p.a, _log_bond, float(r), float(t), float(tau), p,
+                   p=p, names=_BOND_INPUTS)
 
 
 def bond_price(r: float, t: float, tau: float, p: VasicekParams) -> float:
@@ -186,11 +190,13 @@ def bond_price(r: float, t: float, tau: float, p: VasicekParams) -> float:
     p : VasicekParams
         Model parameters (only a, theta, sigma2 enter).
 
-    Raises ValueError naming a where the price is not finite: an explosive
-    model (a < 0) over a long horizon.  A price below the float range
+    Raises ValueError naming a, theta and sigma2 where the price is not
+    finite: an explosive model (a < 0) over a long horizon, or a theta or
+    sigma2 past the float range.  A price below the float range
     underflows to 0.
     """
-    return _finite("bond price", tau, p.a, math.exp, log_bond_price(r, t, tau, p))
+    return _finite("bond price", tau, p.a, math.exp, log_bond_price(r, t, tau, p),
+                   p=p, names=_BOND_INPUTS)
 
 
 def effective_vol_sq(t: float, tau: float, p: VasicekParams) -> float:
@@ -230,7 +236,8 @@ def integrated_variance(t0: float, t1: float, tau: float, p: VasicekParams) -> f
     small (d = t1 - t0); a sub-interval shifts them by
     B(u1 + s) = B(u1) + e^{-a u1} B(s), u1 = tau - t1.  This total variance
     is the only statistic of the rate path that the pricing kernels consume.
-    Raises ValueError naming a where it is not finite (an explosive model).
+    Raises ValueError naming a, sigma1, sigma2 and rho where it is not
+    finite (an explosive model, or a volatility past the float range).
 
     Parameters
     ----------
@@ -241,7 +248,8 @@ def integrated_variance(t0: float, t1: float, tau: float, p: VasicekParams) -> f
     if t0 > t1:
         raise ValueError("interval bounds must satisfy t0 <= t1")
     _check_order(t1, tau)
-    return _finite("integrated variance", tau, p.a, _variance, t0, t1, tau, p)
+    return _finite("integrated variance", tau, p.a, _variance, t0, t1, tau, p,
+                   p=p, names=("sigma1", "sigma2", "rho"))
 
 
 def bond_price_from_ode(r: float, t: float, tau: float, p: VasicekParams) -> float:
@@ -252,7 +260,7 @@ def bond_price_from_ode(r: float, t: float, tau: float, p: VasicekParams) -> flo
     Exists purely to cross-check `bond_price` by an independent route.
     Where the log price f - r*B passes the log of the largest float on the
     way (an explosive model), a terminal event stops the solver there, and
-    this raises a ValueError naming a, as `bond_price` does.
+    this raises a ValueError naming a, theta and sigma2, as `bond_price` does.
     """
     from scipy.integrate import solve_ivp
 
@@ -272,7 +280,7 @@ def bond_price_from_ode(r: float, t: float, tau: float, p: VasicekParams) -> flo
     sol = solve_ivp(rhs, (tau, t), [0.0, 0.0], rtol=1e-12, atol=1e-14,
                     dense_output=False, method="RK45", events=overflow)
     log_p = math.inf if sol.status == 1 else float(sol.y[1, -1] - r * sol.y[0, -1])
-    out = _finite("ODE bond price", tau, p.a, math.exp, log_p)
+    out = _finite("ODE bond price", tau, p.a, math.exp, log_p, p=p, names=_BOND_INPUTS)
     if not sol.success:
         raise RuntimeError(f"bond ODE integration failed: {sol.message}")
     return out

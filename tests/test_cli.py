@@ -1,13 +1,18 @@
+import io
 import math
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vasicek_barrier import cli, model, pricer
+from vasicek_barrier import cli, kernels, mc_oracle, model, pricer, quad_oracle
 from vasicek_barrier.cli import main
+from vasicek_barrier.quadrature import QuadratureError
 
 SMOKE = ["--paths", "2000", "--steps", "64", "--seed", "5"]
 
@@ -77,13 +82,31 @@ class TestPriceCommand:
         assert err.startswith("error: bond price 0.0 over maturity 1.0 underflows")
         assert "a=1.0, theta=1e+300, sigma2=0.3" in err and "explode" not in err
 
-    def test_mc_run_past_the_working_set_limit_is_named_before_allocating(self, capsys):
+    @pytest.mark.parametrize("flag, quantity, field", [
+        ("--sigma2=1e200", "log bond price", "sigma2=1e+200"),
+        ("--sigma1=1e200", "integrated variance", "sigma1=1e+200"),
+        ("--theta=-1e300", "bond price", "theta=-1e+300"),
+    ])
+    def test_overflow_names_the_parameters_and_not_an_explosion(self, capsys, flag,
+                                                                quantity, field):
+        # a = 1 does not explode: the float arithmetic of one input overflows
+        code, out, err = run(capsys, "price", flag)
+        assert code == 5 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {quantity} over maturity 1.0 is not finite at a=1.0, ")
+        assert field in err and "explode" not in err
+
+    @pytest.mark.parametrize("scale, message", [
+        (["--paths", "2", "--steps", "100000000"],
+         "steps: 100000000 steps a year over maturity 1 "),
+        (["--paths", "1000000000000"], "paths: 1000000000000 paths a run, past the limit "),
+    ], ids=["steps", "paths"])
+    def test_mc_run_past_the_working_set_limit_is_named_before_allocating(
+            self, capsys, scale, message):
         t0 = time.perf_counter()
-        code, out, err = run(capsys, "price", "--verify", "--paths", "2",
-                             "--steps", "100000000")
+        code, out, err = run(capsys, "price", "--verify", *scale)
         assert time.perf_counter() - t0 < 1.0
         assert code == 5 and out == ""
-        assert err.startswith("error: steps: 100000000 steps a year over maturity 1 ")
+        assert err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("flag", [key.replace("_", "-") for key in cli._FLOAT_KEYS])
     def test_every_float_flag_takes_a_negative_exponent_form(self, flag):
@@ -230,6 +253,10 @@ class TestCurveCommand:
     def test_bad_sweep(self, capsys):
         code, _, err = run(capsys, "curve", "--sweep", "sigma1=0.1,0.2")
         assert code == 1 and "sweep" in err
+        # a value the model rejects is a configuration error, as --rho 2 is
+        code, out, err = run(capsys, "curve", "--sweep", "rho=0.5,2")
+        assert code == 1 and out == ""
+        assert err == "error: sweep: rho must lie in [-1, 1], got 2.0\n"
         code, _, err = run(capsys, "curve", "--sweep", "a=")
         assert code == 1 and "sweep" in err
         code, _, err = run(capsys, "curve", "--sweep", "a=1,nan")
@@ -260,6 +287,52 @@ class TestVerifyCommand:
         assert lines[-1] == "all checks passed"
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert len(lines) == 10
+
+    # the oracle behind each check, in output order: module, name, the
+    # option kind it fails for where two checks share it, and what it raises
+    ORACLES = {
+        "bond vs monte carlo": (mc_oracle, "bond_mc", None, ValueError("paths")),
+        "bond vs ode solution": (model, "bond_price_from_ode", None, ValueError("ode")),
+        "single barrier vs forward-measure mc": (mc_oracle, "price_barrier_mc", "single",
+                                                 ValueError("single")),
+        "single barrier vs two-factor mc": (mc_oracle, "price_barrier_mc_two_factor", None,
+                                            ValueError("two-factor")),
+        "double barrier vs forward-measure mc": (mc_oracle, "price_barrier_mc", "double",
+                                                 ValueError("corridor")),
+        "constant-rate closed-form reduction": (pricer, "up_and_out_call_constant_rate", None,
+                                                ValueError("textbook")),
+        "closed form vs kernel quadrature": (quad_oracle, "price_by_quadrature", None,
+                                             QuadratureError("panels", math.nan, math.nan)),
+        "chapman-kolmogorov (single kernel)": (kernels, "barrier_kernel", None,
+                                               QuadratureError("images", math.nan, math.nan)),
+        "chapman-kolmogorov (double kernel)": (kernels, "double_barrier_kernel", None,
+                                               QuadratureError("modes", math.nan, math.nan)),
+    }
+
+    @pytest.mark.parametrize("name", ORACLES)
+    def test_an_oracle_that_raises_fails_only_its_own_check(self, name, monkeypatch, capsys):
+        module, attr, kind, error = self.ORACLES[name]
+        exact = getattr(module, attr)
+
+        def failing(*args, **kwargs):
+            if kind is None or (args[1].walls[0] == -math.inf) == (kind == "single"):
+                raise error
+            return exact(*args, **kwargs)
+        monkeypatch.setattr(module, attr, failing)
+        code, out, err = run(capsys, "verify", "--paths", "1000", "--steps", "64")
+        lines = out.splitlines()
+        assert code == 3 and err == "" and lines[-1] == "1 check(s) failed"
+        assert [line[6:48].strip() for line in lines[:-1]] == list(self.ORACLES)
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert failed == [f"FAIL  {name:42s} oracle cannot evaluate these inputs: "
+                          f"{type(error).__name__}: {error}"]
+
+    def test_a_production_error_stops_the_run_before_any_check(self, capsys):
+        # exp(1500) overflows in the production pricer: no check is run
+        code, out, err = run(capsys, "verify", "--barrier", "1500", "--paths", "1000",
+                             "--steps", "4")
+        assert code == 5 and out == ""
+        assert err.startswith("error: log_barriers[0] = 1500.0") and len(err.splitlines()) == 1
 
     def test_tampered_bond_factor_fails(self, monkeypatch, capsys):
         def regrouped_bond_price(r, t, tau, p):
@@ -400,3 +473,59 @@ class TestMCCheck:
 def test_unknown_command_is_config_error(capsys):
     code, _, err = run(capsys, "inspect")
     assert code == 1
+
+
+# Flag values for the argv grammar property: valid ones at smoke scale,
+# and ones that must fail by name (out of range, non-finite, past the float
+# range or the run limits, not a number)
+_NUMBERS = st.one_of(st.sampled_from(["0.3", "1e-9", "-5e-1", "4.6", "4.87", "10", "110"]),
+                     st.sampled_from(["0", "800", "-80", "1e200", "-1e300"]),
+                     st.sampled_from(["-1", "nan", "inf", "x", ""]))
+_FLAG_VALUES = {
+    **{f"--{key.replace('_', '-')}": _NUMBERS for key in cli._FLOAT_KEYS},
+    "--paths": st.sampled_from(["0", "1", "7", "64", "1000000000000", "1.5", "x"]),
+    "--steps": st.sampled_from(["0", "1", "3", "16", "100000000", "x"]),
+    "--seed": st.sampled_from(["0", "-1", "18446744073709551617", "x"]),
+    "--sweep": st.sampled_from(["a=0.5,1", "rho=0.5,2", "theta=-1e300,0.04", "sigma1=1",
+                                "a=", "rho=nan", "a=-80,800"]),
+    "--grid": st.sampled_from(["100:110:3", "110:100:3", "90:130:1", "-5:5:3",
+                               "1:1e300:3", "a:b:c"]),
+    "--format": st.sampled_from(["csv", "svg", "pdf"]),
+}
+_flag_pairs = st.sampled_from(sorted(_FLAG_VALUES)).flatmap(
+    lambda flag: _FLAG_VALUES[flag].map(lambda value: [flag, value]))
+_ARGV_SECONDS = 5.0  # per invocation, at the smoke scale below
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(command=st.sampled_from(["price", "curve", "verify"]),
+       pairs=st.lists(_flag_pairs, max_size=4),
+       extra=st.sampled_from([[], [], [], ["--verify"], ["--bogus"], ["7"]]))
+# one case for each exit code that the draws may miss: 2, 3, 4 and 5
+@example(command="price", pairs=[["--spot", "135"]], extra=[])
+@example(command="verify", pairs=[["--a", "800"]], extra=[])
+@example(command="curve", pairs=[["--grid=-5:5:3"], ["--sweep", "a=-80,1"],
+                                 ["--maturity", "10"]], extra=[])
+@example(command="price", pairs=[["--sigma2", "1e200"]], extra=[])
+def test_argv_grammar_exits_by_code_without_a_traceback_or_warning(command, pairs, extra):
+    # later flags win, so a drawn --paths or --steps replaces the smoke scale
+    argv = [command, "--paths", "256", "--steps", "8", *sum(pairs, []), *extra]
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert time.perf_counter() - t0 < _ARGV_SECONDS, argv
+    assert 0 <= code <= 5, argv
+    errors = err.getvalue().splitlines()
+    assert all(line.startswith("error: ") for line in errors), argv
+    if code in (1, 5):
+        assert len(errors) == 1 and out.getvalue() == "", argv
+    if command == "curve" and code in (0, 4) and out.getvalue().startswith("spot,"):
+        # a nan is written only on a row that stderr reports
+        reported = {line.split(": ")[1] for line in errors}
+        lines = out.getvalue().splitlines()
+        for line in lines[1:]:
+            spot, *prices = line.split(",")
+            for label, value in zip(lines[0].split(",")[1:], prices):
+                assert value != "nan" or f"{label} at spot {spot}" in reported, argv

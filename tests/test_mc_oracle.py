@@ -151,17 +151,19 @@ class TestRunLimits:
 
     @pytest.mark.parametrize("estimate, message", [
         (lambda: price_barrier_mc(STATE, SINGLE, REF, MCConfig(2, 100_000_000, 1)),
-         "100000000 steps a year over maturity 1 make 100000000 steps"),
+         "steps: 100000000 steps a year over maturity 1 make 100000000 steps a path"),
         (lambda: price_barrier_mc_two_factor(
             STATE, OptionSpec.single_up(100.0, 40.0, B_UP), REF, MCConfig(2, 512, 1)),
-         "512 steps a year over maturity 40 make 20480 steps"),
+         "steps: 512 steps a year over maturity 40 make 20480 steps a path"),
         (lambda: bond_mc(0.05, 2.0, REF, MCConfig(1_000_000, 10_000, 1)),
-         "10000 steps a year over maturity 2 make 20000 steps"),
-    ], ids=["steps", "maturity", "bond"])
+         "steps: 10000 steps a year over maturity 2 make 20000 steps a path"),
+        (lambda: price_barrier_mc(STATE, SINGLE, REF, MCConfig(10**12, 512, 1)),
+         "paths: 1000000000000 paths a run"),
+    ], ids=["steps", "maturity", "bond", "paths"])
     def test_rejected_by_name_without_allocating(self, estimate, message):
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"^steps: {message} a path, past the limit"):
+            with pytest.raises(ValueError, match=f"^{message}, past the limit"):
                 estimate()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -170,8 +172,10 @@ class TestRunLimits:
 
     def test_the_longest_run_in_the_limit_is_accepted(self):
         # every configuration in tests/ and demos/ runs: at most 15360 steps
+        # and the CLI's default of 10**6 paths, the most that any of them use
         assert mc_oracle._n_steps(MCConfig(2, 512, 1), 30.0) == 15360
         assert mc_oracle._n_steps(MCConfig(2, 1 << 12, 1), 4.0) == mc_oracle._MAX_STEPS
+        assert MCConfig(mc_oracle._MAX_PATHS, 512, 1).n_paths > 10**6
 
 
 def test_grid_helper_equals_per_element_calls():
@@ -225,6 +229,8 @@ class TestWorkingSet:
         # whole block as one chunk
         spec = TestBridgeScreen.SPECS[kind]
         weights = []
+        # one worker, so the monitor records the blocks in block order
+        monkeypatch.setattr(mc_oracle, "_workers", lambda n_blocks: 1)
         for chunk in (1, mc_oracle._MONITOR_CHUNK, 1 << 30):
             monkeypatch.setattr(mc_oracle, "_MONITOR_CHUNK", chunk)
             blocks = record_monitor(monkeypatch)
