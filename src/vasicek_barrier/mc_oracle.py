@@ -105,9 +105,8 @@ _OU_RANGE = 700.0
 # Steps a path, checked before anything is allocated: a worker's path array
 # of 2**11 rows then stays under 256 MB (the two-factor's under 512 MB).
 _MAX_STEPS = 1 << 14
-# Paths a run, checked when the configuration is made: `_simulate` lists
-# every block and submits it to its pool at once, and the 8192 blocks of
-# 2**11 paths here hold about 14 MB of futures.
+# Paths a run, checked by `MCConfig`: `_simulate` submits every block at
+# once, and 8192 blocks of 2**11 paths hold about 14 MB of futures.
 _MAX_PATHS = 1 << 24
 # Elements of x per chunk of the knock monitor's near-wall rows: bounds its
 # temporaries at about 0.5 MB each.  A 32-step block of 2**11 rows is one chunk.

@@ -88,16 +88,17 @@ def _check_order(t: float, tau: float) -> None:
 
 def _finite(quantity: str, tau: float, a: float, f, *args, p=None, names=()) -> float:
     """f(*args), or a ValueError where it overflows (OverflowError from `math`,
-    inf or NaN from float arithmetic) that names the maturity, a and the
-    fields ``names`` of ``p``, and says the model explodes only where a < 0."""
+    inf or NaN from float arithmetic): an explosive model where a < 0, and
+    otherwise a float overflow at a and the fields ``names`` of ``p``."""
     try:
         out = f(*args)
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
-        inputs = ", ".join([f"a={a!r}"] + [f"{n}={getattr(p, n)!r}" for n in names])
-        cause = "the rate model explodes over this horizon" if a < 0 else "a float overflows"
-        raise ValueError(f"{quantity} over maturity {tau!r} is not finite at {inputs}: {cause}")
+        inputs = "".join(f", {n}={getattr(p, n)!r}" for n in names)
+        cause = (f"the rate model with a={a!r} explodes over this horizon" if a < 0
+                 else f"a float overflows at a={a!r}{inputs}")
+        raise ValueError(f"{quantity} over maturity {tau!r} is not finite: {cause}")
     return out
 
 
@@ -170,7 +171,7 @@ def log_bond_price(r: float, t: float, tau: float, p: VasicekParams) -> float:
     are those of `bond_price`.  For a negative mean-reversion speed over a
     long horizon the bond price itself overflows while its log is still
     finite; past that, where the log is not finite either, this raises a
-    ValueError naming a, theta and sigma2.
+    ValueError naming a (for a >= 0 also theta and sigma2).
     """
     return _finite("log bond price", tau, p.a, _log_bond, float(r), float(t), float(tau), p,
                    p=p, names=_BOND_INPUTS)
@@ -190,10 +191,10 @@ def bond_price(r: float, t: float, tau: float, p: VasicekParams) -> float:
     p : VasicekParams
         Model parameters (only a, theta, sigma2 enter).
 
-    Raises ValueError naming a, theta and sigma2 where the price is not
-    finite: an explosive model (a < 0) over a long horizon, or a theta or
-    sigma2 past the float range.  A price below the float range
-    underflows to 0.
+    Raises ValueError naming a where the price is not finite: an explosive
+    model (a < 0) over a long horizon, or, naming theta and sigma2 too, a
+    theta or sigma2 that overflows the float range.  A price below the
+    float range underflows to 0.
     """
     return _finite("bond price", tau, p.a, math.exp, log_bond_price(r, t, tau, p),
                    p=p, names=_BOND_INPUTS)
@@ -236,8 +237,8 @@ def integrated_variance(t0: float, t1: float, tau: float, p: VasicekParams) -> f
     small (d = t1 - t0); a sub-interval shifts them by
     B(u1 + s) = B(u1) + e^{-a u1} B(s), u1 = tau - t1.  This total variance
     is the only statistic of the rate path that the pricing kernels consume.
-    Raises ValueError naming a, sigma1, sigma2 and rho where it is not
-    finite (an explosive model, or a volatility past the float range).
+    Raises ValueError naming a where it is not finite (an explosive model,
+    or, naming sigma1, sigma2 and rho too, a volatility past the float range).
 
     Parameters
     ----------
@@ -260,7 +261,7 @@ def bond_price_from_ode(r: float, t: float, tau: float, p: VasicekParams) -> flo
     Exists purely to cross-check `bond_price` by an independent route.
     Where the log price f - r*B passes the log of the largest float on the
     way (an explosive model), a terminal event stops the solver there, and
-    this raises a ValueError naming a, theta and sigma2, as `bond_price` does.
+    this raises a ValueError naming a, as `bond_price` does.
     """
     from scipy.integrate import solve_ivp
 

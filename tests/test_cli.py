@@ -92,7 +92,8 @@ class TestPriceCommand:
         # a = 1 does not explode: the float arithmetic of one input overflows
         code, out, err = run(capsys, "price", flag)
         assert code == 5 and out == "" and len(err.splitlines()) == 1
-        assert err.startswith(f"error: {quantity} over maturity 1.0 is not finite at a=1.0, ")
+        assert err.startswith(f"error: {quantity} over maturity 1.0 is not finite: "
+                              f"a float overflows at a=1.0, ")
         assert field in err and "explode" not in err
 
     @pytest.mark.parametrize("scale, message", [
