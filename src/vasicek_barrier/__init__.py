@@ -7,21 +7,32 @@ reflection formula, for one wall) or of integrated sine modes, whichever is
 shorter at the accumulated variance.  Kernel quadrature, two
 independent Monte Carlo oracles and a constant-rate closed form verify every
 number it produces.
+
+Importing the package loads the production core (`model`, `pricer`) and the
+standard library only.  The numpy-backed oracles (`kernels`, `quadrature`,
+`quad_oracle`, `mc_oracle`) and their names load on first use (PEP 562).
 """
 
-from .kernels import barrier_kernel, double_barrier_kernel, free_kernel, series_terms
-from .mc_oracle import (MCConfig, MCEstimate, bond_mc, price_barrier_mc,
-                        price_barrier_mc_two_factor)
+import importlib
+
 from .model import (VasicekParams, b_factor, bond_price, bond_price_from_ode,
                     effective_vol_sq, integrated_variance, log_bond_price)
 from .pricer import (MarketState, OptionSpec, PriceCurve, PriceResult,
                      knockout_call_forward, log_forward, price, price_curve,
                      price_double_barrier, price_single_barrier,
                      up_and_out_call_constant_rate, vanilla_call_forward)
-from .quad_oracle import price_by_quadrature
-from .quadrature import QuadratureError, integrate
 
 __version__ = "0.1.0"
+
+# the oracles' public names, by the submodule that defines them
+_LAZY = {
+    "kernels": ("barrier_kernel", "double_barrier_kernel", "free_kernel", "series_terms"),
+    "mc_oracle": ("MCConfig", "MCEstimate", "bond_mc", "price_barrier_mc",
+                  "price_barrier_mc_two_factor"),
+    "quad_oracle": ("price_by_quadrature",),
+    "quadrature": ("QuadratureError", "integrate"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "MCConfig",
@@ -56,3 +67,18 @@ __all__ = [
     "up_and_out_call_constant_rate",
     "vanilla_call_forward",
 ]
+
+
+def __getattr__(name):
+    """Import an oracle submodule, or the one that defines ``name``, on first use."""
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,6 +5,10 @@ matching the reference figure parameters, a flat key=value config file given
 with --config, and command-line flags.  Outputs (CSV or SVG) are
 byte-identical for identical resolved configurations.
 
+`price` imports only the standard library and the production core; numpy
+and the oracle modules load inside the functions that use them (`curve`,
+`verify`, `price --verify`).
+
 `verify` computes every production value it compares first, then runs one
 table of named oracle checks, one output line per row; its loop's one
 failure path FAILs the row of an oracle that cannot evaluate the inputs.
@@ -23,10 +27,14 @@ import math
 import re
 import sys
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import model, pricer
 
-from . import kernels, mc_oracle, model, pricer, quad_oracle, quadrature
+if TYPE_CHECKING:  # annotations only
+    import numpy as np
+
+    from . import mc_oracle
 
 DEFAULTS = {
     "spot": 110.0,
@@ -106,6 +114,8 @@ class JobConfig:
 
     @property
     def mc_config(self) -> mc_oracle.MCConfig:
+        from . import mc_oracle
+
         return mc_oracle.MCConfig(n_paths=self.paths, n_steps=self.steps, seed=self.seed)
 
 
@@ -287,6 +297,8 @@ def run_price(cfg: JobConfig) -> int:
     result = pricer.price(state, cfg.option, cfg.params)
     fields = [_fmt(cfg.spot), _fmt(result.price)]
     if cfg.verify_mc:
+        from . import mc_oracle
+
         est = mc_oracle.price_barrier_mc(state, cfg.option, cfg.params, cfg.mc_config)
         fields += [_fmt(est.mean), _fmt(est.std_error)]
     print(",".join(fields))
@@ -298,6 +310,8 @@ def _curve_columns(cfg: JobConfig) -> tuple[list, np.ndarray, list, list]:
 
     Each failed row is a (label, spot, error message) triple.
     """
+    import numpy as np
+
     spots = np.linspace(cfg.grid[0], cfg.grid[1], cfg.grid[2])
     if cfg.sweep_name is None:
         labels = ["price"]
@@ -319,6 +333,8 @@ def _render_csv(labels, spots, columns) -> str:
 
 
 def _render_svg(labels, spots, columns) -> str:
+    import numpy as np
+
     width, height = 720.0, 480.0
     ml, mr, mt, mb = 70.0, 24.0, 24.0, 56.0
     x0, x1 = float(spots[0]), float(spots[-1])
@@ -443,6 +459,10 @@ def _composition_check(kernel, draw, lo: float, hi: float, split: float,
     keeps the vectorized argument in the x' slot; where e^{z-y} overflows,
     the quadrature raises on the non-finite integrand, with no numpy warning.
     """
+    import numpy as np
+
+    from . import quadrature
+
     worst = 0.0
     for _ in range(10):
         x, xp = draw(), draw()
@@ -457,16 +477,22 @@ def _composition_check(kernel, draw, lo: float, hi: float, split: float,
 def _verify_checks(cfg: JobConfig):
     """Yield (name, passed, detail) for each oracle cross-check.
 
-    Production values come first, so that an error in production code (an
-    explosive model, a barrier level past the float range) raises its
-    ValueError before any check and is never taken for an oracle's.  Then
-    one table row per check, (name, check), in output order: each check
-    runs its oracle and returns (passed, detail).  One loop runs the table,
-    and its one failure path FAILs by name a check whose oracle cannot
-    evaluate the inputs (ValueError or QuadratureError: a corridor kernel
-    past its mode budget, a quadrature past its panel budget, MC paths or
-    the bond ODE past the float range).
+    Production values of the user's model come first, so that an error in
+    production code (an explosive model, a barrier level past the float
+    range) raises its ValueError before any check and is never taken for an
+    oracle's.  Then one table row per check, (name, check), in output order:
+    each check runs its oracle and returns (passed, detail).  One loop runs
+    the table, and its one failure path FAILs by name a check whose oracle
+    cannot evaluate the inputs (ValueError or QuadratureError: a corridor
+    kernel past its mode budget, a quadrature past its panel budget, MC
+    paths or the bond ODE past the float range).  The constant-rate
+    reduction prices a model of its own (theta = r0, sigma2 = 0) inside its
+    row, so an input that model cannot value FAILs that row alone.
     """
+    import numpy as np
+
+    from . import kernels, mc_oracle, quad_oracle, quadrature
+
     p, tau, mc_cfg = cfg.params, cfg.maturity, cfg.mc_config
     state = pricer.MarketState(spot=cfg.spot, rate=p.r0, time=0.0)
     single = pricer.OptionSpec.single_up(cfg.strike, tau, cfg.barrier)
@@ -481,7 +507,6 @@ def _verify_checks(cfg: JobConfig):
     bond = model.bond_price(p.r0, 0.0, tau, p)
     ana_s = pricer.price_single_barrier(state, single, p).price
     ana_d = pricer.price_double_barrier(state, double, p).price
-    ours_const = [pricer.price_single_barrier(st, single, const).price for st in spot_states]
     ours = [pricer.price(st, option, p).price for st, option in cases]
     sig = model.integrated_variance(0.0, tau, tau, p)
     split = model.integrated_variance(0.0, 0.4 * tau, tau, p)
@@ -504,9 +529,11 @@ def _verify_checks(cfg: JobConfig):
          lambda: _mc_check(ana_d, mc_oracle.price_barrier_mc(state, double, p, mc_cfg),
                            max(math.exp(high) - cfg.strike, 0.0))),
         ("constant-rate closed-form reduction",
-         lambda: _rel_check(ours_const, [pricer.up_and_out_call_constant_rate(
-             s / disc, cfg.strike, math.exp(cfg.barrier), p.r0, p.sigma1, tau, dividend_yield=p.r0)
-             for s in _VERIFY_SPOTS],
+         lambda: _rel_check(
+             [pricer.price_single_barrier(st, single, const).price for st in spot_states],
+             [pricer.up_and_out_call_constant_rate(
+                 s / disc, cfg.strike, math.exp(cfg.barrier), p.r0, p.sigma1, tau,
+                 dividend_yield=p.r0) for s in _VERIFY_SPOTS],
              "6 spots; holds the production image sum, the bond and the variance mapping "
              "to the textbook constant-rate reflection formula")),
         ("closed form vs kernel quadrature",

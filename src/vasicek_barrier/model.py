@@ -88,15 +88,17 @@ def _check_order(t: float, tau: float) -> None:
 
 def _finite(quantity: str, tau: float, a: float, f, *args, p=None, names=()) -> float:
     """f(*args), or a ValueError where it overflows (OverflowError from `math`,
-    inf or NaN from float arithmetic): an explosive model where a < 0, and
-    otherwise a float overflow at a and the fields ``names`` of ``p``."""
+    inf or NaN from float arithmetic): an explosive model where e^{-a tau}
+    itself passes the float range, and otherwise a float overflow at a and
+    the fields ``names`` of ``p``."""
     try:
         out = f(*args)
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
         inputs = "".join(f", {n}={getattr(p, n)!r}" for n in names)
-        cause = (f"the rate model with a={a!r} explodes over this horizon" if a < 0
+        explodes = -a * tau > _LOG_FLOAT_MAX
+        cause = (f"the rate model with a={a!r} explodes over this horizon" if explodes
                  else f"a float overflows at a={a!r}{inputs}")
         raise ValueError(f"{quantity} over maturity {tau!r} is not finite: {cause}")
     return out

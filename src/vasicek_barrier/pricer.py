@@ -27,13 +27,13 @@ is shorter: a few terms at any variance.  The up-and-out (l = -inf) is the
 images' single-reflection case, the reflection formula.
 
 This is the production path, and with `model.py` it imports no other module
-of the package.  The kernels of `kernels.py`, with their own mode count
-`kernels.series_terms`, and the adaptive quadrature of `quadrature.py` do
-not run on it: `quad_oracle` integrates the kernels numerically, and
-`verify` and the tests hold the closed forms to that independent result and
-to the textbook constant-rate formula `up_and_out_call_constant_rate`, which
-is kept here as an oracle only.  The oracles import from here, never the
-reverse.
+of the package, and no numpy outside `price_curve`.  The kernels of
+`kernels.py`, with their own mode count `kernels.series_terms`, and the
+adaptive quadrature of `quadrature.py` do not run on it: `quad_oracle`
+integrates the kernels numerically, and `verify` and the tests hold the
+closed forms to that independent result and to the textbook constant-rate
+formula `up_and_out_call_constant_rate`, which is kept here as an oracle
+only.  The oracles import from here, never the reverse.
 
 Barriers are levels on the forward price, which is where the knock-out
 condition of the underlying derivation lives; a spot is knocked out at
@@ -45,11 +45,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (_LOG_FLOAT_MAX, VasicekParams, _require_finite, bond_price,
                     integrated_variance)
+
+if TYPE_CHECKING:  # annotations only: numpy loads with the first `price_curve`
+    import numpy as np
 
 SINGLE_UP = "single_up"
 DOUBLE = "double"
@@ -211,7 +213,8 @@ def _weighted_mass(log_w: float, lo: float, hi: float) -> float:
     A mass in one tail is the difference of two upper tails.  Past 30
     standard deviations, or under a weight e^{log_w} that is no float, it
     is taken in logs, so a large weight times a tail too small for a float
-    neither overflows nor reads as 0 * inf.
+    neither overflows nor reads as 0 * inf.  A tail whose log is past the
+    float range too (a corridor's reflection across a wall at -1e200) is 0.
     """
     if hi <= 0.0:
         lo, hi = -hi, -lo
@@ -220,6 +223,8 @@ def _weighted_mass(log_w: float, lo: float, hi: float) -> float:
     if lo < 30.0 and log_w < 700.0:
         return math.exp(log_w) * 0.5 * (math.erfc(lo * _SQRT_HALF) - math.erfc(hi * _SQRT_HALF))
     a = _log_upper_tail(lo)
+    if a == -math.inf:
+        return 0.0
     return math.exp(log_w + a) * -math.expm1(_log_upper_tail(hi) - a)
 
 
@@ -426,6 +431,8 @@ def price_curve(spots, spec: OptionSpec, p: VasicekParams) -> PriceCurve:
     the price set to NaN, and does not abort the rest of the curve; any
     other exception propagates.
     """
+    import numpy as np
+
     spots = np.asarray(spots, dtype=float)
     if spots.size == 0:
         raise ValueError("spot grid must be non-empty")

@@ -96,6 +96,19 @@ class TestPriceCommand:
                               f"a float overflows at a=1.0, ")
         assert field in err and "explode" not in err
 
+    def test_overflow_at_a_negative_a_names_the_parameters(self, capsys):
+        # nor does a = -0.1 over a year: sigma2 overflows
+        code, out, err = run(capsys, "price", "--a=-0.1", "--sigma2=1e200")
+        assert code == 5 and out == ""
+        assert err == ("error: log bond price over maturity 1.0 is not finite: a float "
+                       "overflows at a=-0.1, theta=0.04, sigma2=1e+200\n")
+
+    def test_lower_wall_past_the_float_range_prices_the_up_and_out(self, capsys):
+        _, single, _ = run(capsys, "price", "--barrier", "5")
+        code, out, err = run(capsys, "price", "--barrier-low=-1e300", "--barrier-high", "5")
+        assert code == 0 and err == ""
+        assert out == single == "110.0,2.871919821940932\n"
+
     @pytest.mark.parametrize("scale, message", [
         (["--paths", "2", "--steps", "100000000"],
          "steps: 100000000 steps a year over maturity 1 "),
@@ -174,6 +187,12 @@ class TestConfigFile:
 
 
 class TestCurveCommand:
+    def test_lower_wall_past_the_float_range_writes_the_up_and_out(self, capsys):
+        _, single, _ = run(capsys, "curve", "--barrier", "5", "--grid", "100:120:3")
+        code, out, err = run(capsys, "curve", "--barrier-low=-1e300", "--barrier-high", "5",
+                             "--grid", "100:120:3")
+        assert code == 0 and err == "" and out == single and "nan" not in out
+
     def test_sweep_a_columns_increase(self, tmp_path, capsys):
         out_path = tmp_path / "curve.csv"
         code, _, _ = run(capsys, "curve", "--sweep", "a=0.5,1,2",
@@ -335,6 +354,19 @@ class TestVerifyCommand:
         assert code == 5 and out == ""
         assert err.startswith("error: log_barriers[0] = 1500.0") and len(err.splitlines()) == 1
 
+    def test_constant_rate_model_that_cannot_price_fails_its_own_row(self, capsys):
+        # verify's constant-rate model (theta = r0 = 800, sigma2 = 0) discounts
+        # its bond to 0; the user's model prices, and the other eight checks run
+        code, out, err = run(capsys, "verify", "--r0", "800", "--paths", "256", "--steps", "8")
+        lines = out.splitlines()
+        assert code == 3 and err == "" and len(lines) == 10 and lines[-1] == "1 check(s) failed"
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith(
+            "FAIL  constant-rate closed-form reduction        oracle cannot evaluate these "
+            "inputs: ValueError: bond price 0.0 over maturity 1.0 underflows")
+        assert failed[0].endswith("a=1.0, theta=800.0, sigma2=0.0")
+
     def test_tampered_bond_factor_fails(self, monkeypatch, capsys):
         def regrouped_bond_price(r, t, tau, p):
             # the A-factor with its brackets regrouped,
@@ -441,8 +473,8 @@ class TestVerifyCommand:
 
 
 def _estimate(mean, std_error, n_paths=1000):
-    return cli.mc_oracle.MCEstimate(mean=mean, std_error=std_error, n_paths=n_paths,
-                                    n_steps=8, seed=0)
+    return mc_oracle.MCEstimate(mean=mean, std_error=std_error, n_paths=n_paths,
+                                n_steps=8, seed=0)
 
 
 class TestMCCheck:

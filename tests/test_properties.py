@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vasicek_barrier import (MCConfig, MarketState, OptionSpec, VasicekParams, bond_mc,
@@ -147,6 +147,10 @@ def test_price_is_non_increasing_in_the_strike(p, tau, strike, more, upper, widt
 @derandomized(100)
 @given(tau=maturities, spot=st.floats(80.0, 125.0), strike=st.floats(60.0, 125.0),
        depth=st.floats(40.0, 200.0))
+# lower walls near -1e200 and -1e300 (v = 0.86 at tau = 4): the image of each
+# lies so far out that its tail is past the float range even in logs
+@example(tau=4.0, spot=110.0, strike=100.0, depth=1e200)
+@example(tau=4.0, spot=110.0, strike=100.0, depth=1e300)
 def test_far_lower_wall_gives_the_up_and_out(tau, spot, strike, depth):
     state = MarketState(spot=spot, rate=REF.r0)
     single = OptionSpec.single_up(strike, tau, B_UP)
