@@ -2,8 +2,12 @@
 
 Configuration is resolved in three layers (later wins): built-in defaults
 matching the reference figure parameters, a flat key=value config file given
-with --config, and command-line flags.  Outputs (CSV or SVG) are
-byte-identical for identical resolved configurations.
+with --config, and command-line flags.  argparse reads all three: each line
+of the file is a --key=value flag placed before the command line's own.
+The library's types (`VasicekParams`, `MarketState`, `OptionSpec`) then
+validate the values, and a value they reject is a configuration error that
+names its field.  Outputs (CSV or SVG) are byte-identical for identical
+resolved configurations.
 
 `price` imports only the standard library and the production core; numpy
 and the oracle modules load inside the functions that use them (`curve`,
@@ -64,6 +68,9 @@ _INT_KEYS = ("paths", "steps", "seed")
 
 _SWEEPABLE = ("a", "theta", "rho")
 
+# the most spots a curve prices: a 10^5-point grid takes about 2 s a column
+_MAX_GRID = 100_000
+
 # spots at which verify compares a pricer with a closed form or with quadrature
 _VERIFY_SPOTS = (80.0, 90.0, 100.0, 110.0, 120.0, 125.0)
 
@@ -77,20 +84,20 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class JobConfig:
+    """A resolved job: the library's validated inputs and the run settings.
+
+    ``option`` is the job's option: the corridor when both corridor walls
+    are given, else ``single``, the up-and-out at ``--barrier``, which
+    `verify` checks beside the corridor.
+    """
+
     command: str
-    spot: float
-    strike: float
-    maturity: float
-    barrier: float
-    barrier_low: float | None
-    barrier_high: float | None
-    a: float
-    theta: float
-    rho: float
-    sigma1: float
-    sigma2: float
-    r0: float
+    state: pricer.MarketState
+    params: model.VasicekParams
+    option: pricer.OptionSpec
+    single: pricer.OptionSpec
     sweep_name: str | None
+    sweep_params: tuple  # one VasicekParams per sweep value
     grid: tuple
     paths: int
     steps: int
@@ -98,19 +105,6 @@ class JobConfig:
     out: str | None
     format: str
     verify_mc: bool = False
-    sweep_params: tuple = ()  # one VasicekParams per sweep value, set by `_resolve`
-
-    @property
-    def params(self) -> model.VasicekParams:
-        return model.VasicekParams(a=self.a, theta=self.theta, sigma1=self.sigma1,
-                                   sigma2=self.sigma2, rho=self.rho, r0=self.r0)
-
-    @property
-    def option(self) -> pricer.OptionSpec:
-        if self.barrier_low is not None:
-            return pricer.OptionSpec.double(self.strike, self.maturity,
-                                            self.barrier_low, self.barrier_high)
-        return pricer.OptionSpec.single_up(self.strike, self.maturity, self.barrier)
 
     @property
     def mc_config(self) -> mc_oracle.MCConfig:
@@ -141,26 +135,27 @@ def _build_parser() -> _Parser:
     }
     for name, help_text in specs.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="flat key=value config file")
+        sp.add_argument("--config", help="flat key=value file; each line reads as a "
+                                         "--key=value flag before the command line's own")
         for key in _FLOAT_KEYS:
-            sp.add_argument(f"--{key.replace('_', '-')}", type=float, default=None)
-        sp.add_argument("--sweep", default=None, metavar="NAME=V1,V2,...",
+            sp.add_argument(f"--{key.replace('_', '-')}", type=float, default=DEFAULTS[key])
+        sp.add_argument("--sweep", default=DEFAULTS["sweep"], metavar="NAME=V1,V2,...",
                         help="sweep a, theta or rho over listed values (curve)")
-        sp.add_argument("--grid", default=None, metavar="MIN:MAX:N",
+        sp.add_argument("--grid", default=DEFAULTS["grid"], metavar="MIN:MAX:N",
                         help="spot grid (curve)")
-        sp.add_argument("--paths", type=int, default=None)
-        sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "svg"), default=None)
+        for key in _INT_KEYS:
+            sp.add_argument(f"--{key}", type=int, default=DEFAULTS[key])
+        sp.add_argument("--out", default=DEFAULTS["out"], help="output path (default stdout)")
+        sp.add_argument("--format", choices=("csv", "svg"), default=DEFAULTS["format"])
         if name == "price":
-            sp.add_argument("--verify", action="store_const", const=True, default=None,
+            sp.add_argument("--verify", action="store_true",
                             help="also report a Monte Carlo estimate")
     return parser
 
 
-def _parse_config_file(path: str) -> dict:
-    values = {}
+def _config_flags(path: str) -> list:
+    """The ``--key=value`` flag of each ``key=value`` line of a config file."""
+    flags = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -174,27 +169,20 @@ def _parse_config_file(path: str) -> dict:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         key = key.strip().lower().replace("-", "_")
-        value = value.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = value
-    return values
+        flags.append(f"--{key.replace('_', '-')}={value.strip()}")
+    return flags
 
 
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not a number: {value!r}") from exc
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not an integer: {value!r}") from exc
-    return value
+def _parse_args(parser: _Parser, argv: list) -> argparse.Namespace:
+    """Parse argv, reading a config file's flags after the command, so that
+    the file overrides the defaults and the command line overrides the file."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    at = argv.index(args.command) + 1  # the top-level parser takes no option before it
+    return parser.parse_args([*argv[:at], *_config_flags(args.config), *argv[at:]])
 
 
 def _parse_sweep(text: str | None) -> tuple[str | None, tuple]:
@@ -227,63 +215,44 @@ def _parse_grid(text: str) -> tuple:
         raise ConfigError(f"grid: bad component in {text!r}") from exc
     if n < 2:
         raise ConfigError(f"grid: need at least 2 points, got {n}")
+    if n > _MAX_GRID:
+        raise ConfigError(f"grid: {n} points, past the limit of {_MAX_GRID}")
     if not lo < hi:
         raise ConfigError(f"grid: need MIN < MAX, got {text!r}")
     return lo, hi, n
 
 
 def _resolve(args: argparse.Namespace) -> JobConfig:
-    values = dict(DEFAULTS)
-    if args.config:
-        values.update(_parse_config_file(args.config))
-    for key in (*_FLOAT_KEYS, *_INT_KEYS, "sweep", "grid", "out"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if getattr(args, "fmt", None) is not None:
-        values["format"] = args.fmt
-    values = {k: _coerce(k, v) for k, v in values.items()}
+    """Check what the library cannot, then build its objects, which check the rest.
 
-    for key in _FLOAT_KEYS:
-        if values[key] is not None and not math.isfinite(values[key]):
-            raise ConfigError(f"{key}: must be a finite number, got {values[key]}")
-    for key in ("spot", "strike", "maturity"):
-        if values[key] is None or values[key] <= 0:
-            raise ConfigError(f"{key}: must be a positive number, got {values[key]}")
-    if (values["barrier_low"] is None) != (values["barrier_high"] is None):
+    A value the library rejects (a non-finite number, a negative strike,
+    reversed walls, rho = 2) is a configuration error, named by the field
+    in the library's message.
+    """
+    if (args.barrier_low is None) != (args.barrier_high is None):
         raise ConfigError("barrier_low/barrier_high: both are needed for a double barrier")
-    if values["barrier_low"] is not None and not values["barrier_low"] < values["barrier_high"]:
-        raise ConfigError("barrier_low: must lie below barrier_high")
-    for key in ("sigma1", "sigma2"):
-        if values[key] < 0:
-            raise ConfigError(f"{key}: must be non-negative, got {values[key]}")
-    if not -1.0 <= values["rho"] <= 1.0:
-        raise ConfigError(f"rho: must lie in [-1, 1], got {values['rho']}")
-    for key in ("paths", "steps"):
-        if values[key] < 1:
-            raise ConfigError(f"{key}: must be at least 1, got {values[key]}")
-    if values["format"] not in ("csv", "svg"):
-        raise ConfigError(f"format: must be csv or svg, got {values['format']!r}")
-    sweep_name, sweep_values = _parse_sweep(values["sweep"])
-    grid = _parse_grid(values["grid"])
-
-    cfg = JobConfig(
-        command=args.command,
-        spot=values["spot"], strike=values["strike"], maturity=values["maturity"],
-        barrier=values["barrier"], barrier_low=values["barrier_low"],
-        barrier_high=values["barrier_high"],
-        a=values["a"], theta=values["theta"], rho=values["rho"],
-        sigma1=values["sigma1"], sigma2=values["sigma2"], r0=values["r0"],
-        sweep_name=sweep_name, grid=grid,
-        paths=values["paths"], steps=values["steps"], seed=values["seed"],
-        out=values["out"], format=values["format"],
-        verify_mc=bool(getattr(args, "verify", None)),
-    )
+    try:
+        params = model.VasicekParams(a=args.a, theta=args.theta, sigma1=args.sigma1,
+                                     sigma2=args.sigma2, rho=args.rho, r0=args.r0)
+        state = pricer.MarketState(spot=args.spot, rate=args.r0)
+        single = pricer.OptionSpec.single_up(args.strike, args.maturity, args.barrier)
+        option = single if args.barrier_low is None else pricer.OptionSpec.double(
+            args.strike, args.maturity, args.barrier_low, args.barrier_high)
+    except ValueError as exc:
+        raise ConfigError(exc) from exc
+    for key in ("paths", "steps"):  # MCConfig checks them too, but loads numpy
+        if getattr(args, key) < 1:
+            raise ConfigError(f"{key}: must be at least 1, got {getattr(args, key)}")
+    sweep_name, sweep_values = _parse_sweep(args.sweep)
+    grid = _parse_grid(args.grid)
     try:  # a sweep value the model rejects, such as rho=2
-        variants = tuple(replace(cfg.params, **{sweep_name: v}) for v in sweep_values)
+        variants = tuple(replace(params, **{sweep_name: v}) for v in sweep_values)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
-    return replace(cfg, sweep_params=variants)
+    return JobConfig(command=args.command, state=state, params=params, option=option,
+                     single=single, sweep_name=sweep_name, sweep_params=variants, grid=grid,
+                     paths=args.paths, steps=args.steps, seed=args.seed, out=args.out,
+                     format=args.format, verify_mc=getattr(args, "verify", False))
 
 
 def _fmt(x: float) -> str:
@@ -293,13 +262,12 @@ def _fmt(x: float) -> str:
 
 def run_price(cfg: JobConfig) -> int:
     """Price one option; one CSV-formatted line on stdout."""
-    state = pricer.MarketState(spot=cfg.spot, rate=cfg.r0, time=0.0)
-    result = pricer.price(state, cfg.option, cfg.params)
-    fields = [_fmt(cfg.spot), _fmt(result.price)]
+    result = pricer.price(cfg.state, cfg.option, cfg.params)
+    fields = [_fmt(cfg.state.spot), _fmt(result.price)]
     if cfg.verify_mc:
         from . import mc_oracle
 
-        est = mc_oracle.price_barrier_mc(state, cfg.option, cfg.params, cfg.mc_config)
+        est = mc_oracle.price_barrier_mc(cfg.state, cfg.option, cfg.params, cfg.mc_config)
         fields += [_fmt(est.mean), _fmt(est.std_error)]
     print(",".join(fields))
     return 2 if result.knocked_out else 0
@@ -493,12 +461,11 @@ def _verify_checks(cfg: JobConfig):
 
     from . import kernels, mc_oracle, quad_oracle, quadrature
 
-    p, tau, mc_cfg = cfg.params, cfg.maturity, cfg.mc_config
-    state = pricer.MarketState(spot=cfg.spot, rate=p.r0, time=0.0)
-    single = pricer.OptionSpec.single_up(cfg.strike, tau, cfg.barrier)
-    low = cfg.barrier_low if cfg.barrier_low is not None else math.log(100.0)
-    high = cfg.barrier_high if cfg.barrier_high is not None else cfg.barrier
-    double = pricer.OptionSpec.double(cfg.strike, tau, low, high)
+    p, state, single, mc_cfg = cfg.params, cfg.state, cfg.single, cfg.mc_config
+    strike, tau, barrier = single.strike, single.maturity, single.log_barriers[0]
+    double = (cfg.option if cfg.option.barrier_kind == pricer.DOUBLE
+              else pricer.OptionSpec.double(strike, tau, math.log(100.0), barrier))
+    low, high = double.walls
     const = replace(p, theta=p.r0, sigma2=0.0)
     spot_states = [pricer.MarketState(spot=s, rate=p.r0, time=0.0) for s in _VERIFY_SPOTS]
     cases = [(st, option) for st in spot_states for option in (single, double)]
@@ -511,7 +478,7 @@ def _verify_checks(cfg: JobConfig):
     sig = model.integrated_variance(0.0, tau, tau, p)
     split = model.integrated_variance(0.0, 0.4 * tau, tau, p)
 
-    cap_single = max(math.exp(cfg.barrier) - cfg.strike, 0.0)
+    cap_single = max(math.exp(barrier) - strike, 0.0)
     disc = math.exp(-p.r0 * tau)
     rng = np.random.default_rng(1234)
     checks = (
@@ -527,12 +494,12 @@ def _verify_checks(cfg: JobConfig):
              state, single, p, mc_cfg), cap_single)),
         ("double barrier vs forward-measure mc",
          lambda: _mc_check(ana_d, mc_oracle.price_barrier_mc(state, double, p, mc_cfg),
-                           max(math.exp(high) - cfg.strike, 0.0))),
+                           max(math.exp(high) - strike, 0.0))),
         ("constant-rate closed-form reduction",
          lambda: _rel_check(
              [pricer.price_single_barrier(st, single, const).price for st in spot_states],
              [pricer.up_and_out_call_constant_rate(
-                 s / disc, cfg.strike, math.exp(cfg.barrier), p.r0, p.sigma1, tau,
+                 s / disc, strike, math.exp(barrier), p.r0, p.sigma1, tau,
                  dividend_yield=p.r0) for s in _VERIFY_SPOTS],
              "6 spots; holds the production image sum, the bond and the variance mapping "
              "to the textbook constant-rate reflection formula")),
@@ -542,9 +509,9 @@ def _verify_checks(cfg: JobConfig):
                             "6 spots, both barrier kinds")),
         ("chapman-kolmogorov (single kernel)",
          lambda: _composition_check(
-             lambda x, xp, v: kernels.barrier_kernel(x, xp, v, cfg.barrier),
-             lambda: cfg.barrier - rng.uniform(0.05, 3.0) * math.sqrt(sig),
-             cfg.barrier - 12.0 * math.sqrt(sig), cfg.barrier, split, sig)),
+             lambda x, xp, v: kernels.barrier_kernel(x, xp, v, barrier),
+             lambda: barrier - rng.uniform(0.05, 3.0) * math.sqrt(sig),
+             barrier - 12.0 * math.sqrt(sig), barrier, split, sig)),
         ("chapman-kolmogorov (double kernel)",
          lambda: _composition_check(
              lambda x, xp, v: kernels.double_barrier_kernel(x, xp, v, low, high),
@@ -576,8 +543,7 @@ def run_verify(cfg: JobConfig) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _resolve(args)
+        cfg = _resolve(_parse_args(parser, sys.argv[1:] if argv is None else list(argv)))
         if cfg.command == "price":
             return run_price(cfg)
         if cfg.command == "curve":

@@ -159,9 +159,13 @@ def b_factor(t: float, tau: float, a: float) -> float:
 
 def _log_bond(r: float, t: float, tau: float, p: VasicekParams) -> float:
     _check_order(t, tau)
-    u = tau - t
-    int_b, int_b2 = _b_integrals(u, p.a)
-    return 0.5 * p.sigma2 * p.sigma2 * int_b2 - p.theta * p.a * int_b - r * _b(u, p.a)
+    u, a = tau - t, p.a
+    c2, c1 = 0.5 * p.sigma2 * p.sigma2, p.theta * a
+    # a term with a zero coefficient adds 0, not 0 * inf: its integral may
+    # pass the float range where the bond does not, and is not evaluated
+    int_b, int_b2 = _b_integrals(u, a) if c1 or c2 else (0.0, 0.0)
+    return ((c2 * int_b2 if c2 else 0.0) - (c1 * int_b if c1 else 0.0)
+            - (r * _b(u, a) if r else 0.0))
 
 
 def log_bond_price(r: float, t: float, tau: float, p: VasicekParams) -> float:
@@ -217,6 +221,8 @@ def effective_vol_sq(t: float, tau: float, p: VasicekParams) -> float:
 def _variance(t0: float, t1: float, tau: float, p: VasicekParams) -> float:
     a, s1, s2, rho = p.a, p.sigma1, p.sigma2, p.rho
     d = t1 - t0
+    if not s2:  # both rate terms add 0, however large their integrals
+        return s1 * s1 * d
     # B(u1 + s) = B(u1) + e^{-a u1} B(s) on [u1, u0], u = tau - t, so both
     # integrals are sums of non-negative terms, free of cancellation
     u1 = tau - t1

@@ -93,7 +93,8 @@ class OptionSpec:
                 raise ValueError("single_up takes exactly one log-barrier level")
         elif self.barrier_kind == DOUBLE:
             if len(self.log_barriers) != 2 or not self.log_barriers[0] < self.log_barriers[1]:
-                raise ValueError("double barrier needs levels (lower, upper) with lower < upper")
+                raise ValueError(f"log_barriers of a double barrier must be (lower, upper) "
+                                 f"with lower < upper, got {self.log_barriers}")
         else:
             raise ValueError(f"unknown barrier kind: {self.barrier_kind!r}")
 

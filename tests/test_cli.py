@@ -1,6 +1,7 @@
 import io
 import math
 import time
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -143,6 +144,14 @@ class TestPriceCommand:
         assert code == 0 and err == ""
         assert float(out.strip().split(",")[1]) == pytest.approx(14.5264753362576, rel=1e-12)
 
+    def test_a_rate_identically_zero_prices_at_any_a(self, capsys):
+        # theta = sigma2 = r0 = 0: the bond is 1 and the variance sigma1^2 tau,
+        # though the integrals of B pass the float range at a = -2 over 200 years
+        zero = ["--maturity", "200", "--sigma2", "0", "--theta", "0", "--r0", "0"]
+        code, out, err = run(capsys, "price", "--a=-2", *zero)
+        assert code == 0 and err == ""
+        assert (code, out, err) == run(capsys, "price", "--a=2", *zero)
+
     @pytest.mark.parametrize("upper", ["27", "40", "60", "80", "700"])
     def test_wide_corridor_prices_as_the_down_and_out(self, capsys, upper):
         code, out, err = run(capsys, "price", "--barrier-low", "4.6", "--barrier-high", upper)
@@ -184,6 +193,53 @@ class TestConfigFile:
         code, _, err = run(capsys, "price", "--config", "/nonexistent/path.cfg")
         assert code == 1
         assert "config" in err
+
+    # per key: the command it runs in, a file value other than the default,
+    # and a flag value that overrides it (some of them errors)
+    CASES = {
+        "spot": (["price"], "120", "95"),
+        "strike": (["price"], "95", "-5"),
+        "maturity": (["price"], "0.5", "one year"),
+        "barrier": (["price"], "4.8", "inf"),
+        "barrier_low": (["price"], "4.6", "4.5"),
+        "barrier_high": (["price", "--barrier-low=4.6"], "4.9", "4.5"),
+        "a": (["price"], "-5e-1", "2"),
+        "theta": (["price"], "0.08", "inf"),
+        "rho": (["price"], "-1", "2"),
+        "sigma1": (["price"], "0.2", "nan"),
+        "sigma2": (["price"], "0", "0.1"),
+        "r0": (["price"], "0.02", "0.1"),
+        "sweep": (["curve", "--grid=100:110:3"], "a=0.5,1", "rho=0,2"),
+        "grid": (["curve"], "100:110:3", "90:80:5"),
+        "paths": (["price", "--verify", "--steps=8"], "300", "0"),
+        "steps": (["price", "--verify", "--paths=256"], "8", "1.5"),
+        "seed": (["price", "--verify", "--paths=256", "--steps=8"], "3", "-1"),
+        "out": (["curve", "--grid=100:110:3"], "a.csv", "b.csv"),
+        "format": (["curve", "--grid=100:110:3"], "svg", "pdf"),
+    }
+
+    def test_every_key_has_a_case(self):
+        assert sorted(self.CASES) == sorted(cli.DEFAULTS)
+
+    @pytest.mark.parametrize("key", sorted(CASES))
+    def test_a_file_value_resolves_as_its_flag_and_a_later_flag_wins(self, key, tmp_path,
+                                                                     capsys):
+        command, value, override = self.CASES[key]
+        if key == "out":
+            value, override = str(tmp_path / value), str(tmp_path / override)
+
+        def job(*argv):  # exit code, stdout, stderr and the files written
+            result = run(capsys, *command, *argv)
+            written = {f.name: f.read_text() for f in tmp_path.glob("*.csv")}
+            for name in written:
+                (tmp_path / name).unlink()
+            return result, written
+
+        flag = f"--{key.replace('_', '-')}"
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert job("--config", str(cfg)) == job(f"{flag}={value}")
+        assert job("--config", str(cfg), f"{flag}={override}") == job(f"{flag}={override}")
 
 
 class TestCurveCommand:
@@ -269,6 +325,19 @@ class TestCurveCommand:
         assert code == 1 and "grid" in err
         code, _, err = run(capsys, "curve", "--grid", "100:110:1")
         assert code == 1 and "grid" in err
+
+    def test_grid_past_the_limit_is_named_before_allocating(self, capsys):
+        # 10^11 spots once ended in a numpy MemoryError traceback
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "curve", "--grid", "85:128:100000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err == "error: grid: 100000000000 points, past the limit of 100000\n"
+        assert peak < 100_000  # a grid just past the limit takes 800 kB
+        assert cli._parse_grid("85:128:100000") == (85.0, 128.0, cli._MAX_GRID)
 
     def test_bad_sweep(self, capsys):
         code, _, err = run(capsys, "curve", "--sweep", "sigma1=0.1,0.2")

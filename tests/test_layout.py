@@ -24,7 +24,8 @@ import pytest
 import vasicek_barrier
 from vasicek_barrier import pricer
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vasicek_barrier"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "vasicek_barrier"
 CORE = {"model", "pricer"}
 ORACLES = ("kernels", "mc_oracle", "quad_oracle", "quadrature")
 
@@ -160,3 +161,17 @@ def test_oracle_modules_resolve_as_attributes(module):
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         vasicek_barrier.no_such_name
+
+
+def test_every_helper_the_benchmark_traces_exists():
+    # the benchmark's tracer wraps these by name, and reads a renamed one as
+    # missing; its TARGETS tuple is read as text, so nothing of it is imported
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    targets = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    assert len(targets) == 1 and targets[0]
+    missing = [f"{module}.{name}" for module, name in targets[0]
+               if not callable(getattr(importlib.import_module(f"vasicek_barrier.{module}"),
+                                       name, None))]
+    assert missing == []

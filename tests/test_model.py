@@ -200,6 +200,13 @@ class TestBondPrice:
             with pytest.raises(ValueError, match=r"maturity 10\.0 is not finite.*a=-80\.0"):
                 price(0.05, 0.0, 10.0, replace(REF, a=-80.0))
 
+    def test_a_zero_coefficient_term_adds_zero(self):
+        # at a = -2 the integrals of B pass the float range well before B
+        # does, and B before e^{-a tau}; with theta = sigma2 = 0 only -r B is left
+        p = VasicekParams(a=-2.0, theta=0.0, sigma1=0.3, sigma2=0.0, rho=0.5, r0=0.0)
+        assert log_bond_price(0.05, 0.0, 178.0, p) == -0.05 * b_factor(0.0, 178.0, -2.0)
+        # and at r = 0 nothing: the rate stays 0
+        assert bond_price(0.0, 0.0, 400.0, p) == 1.0
 
     def test_ode_stops_where_its_solution_leaves_the_float_range(self):
         # it ran to maturity before, 2.3 s at a = -80 over 10 years
@@ -286,6 +293,11 @@ class TestIntegratedVariance:
             assert steps[j] == pytest.approx(mp_integrated_variance(grid[j], grid[j + 1], tau, p),
                                              rel=1e-12, abs=0.0)
         assert min(steps) > 0.0
+
+    def test_zero_rate_volatility_leaves_the_stock_variance(self):
+        # at a = -2 over 200 years the integrals of B pass the float range
+        p = VasicekParams(a=-2.0, theta=0.0, sigma1=0.3, sigma2=0.0, rho=0.5, r0=0.0)
+        assert integrated_variance(0.0, 200.0, 200.0, p) == 0.3 * 0.3 * 200.0
 
     def test_ordering_violation_rejected(self):
         with pytest.raises(ValueError):
