@@ -2,12 +2,13 @@
 
 Configuration is resolved in three layers (later wins): built-in defaults
 matching the reference figure parameters, a flat key=value config file given
-with --config, and command-line flags.  argparse reads all three: each line
-of the file is a --key=value flag placed before the command line's own.
-The library's types (`VasicekParams`, `MarketState`, `OptionSpec`) then
-validate the values, and a value they reject is a configuration error that
-names its field.  Outputs (CSV or SVG) are byte-identical for identical
-resolved configurations.
+with --config, and command-line flags.  One argparse parser reads all three:
+the command is its positional argument, a flag may come before or after it,
+and each line of the file is a --key=value flag read ahead of the command
+line.  `--verify` is `price`'s alone.  The library's types (`VasicekParams`,
+`MarketState`, `OptionSpec`) then validate the values, and a value they
+reject is a configuration error that names its field.  Outputs (CSV or SVG)
+are byte-identical for identical resolved configurations.
 
 `price` imports only the standard library and the production core; numpy
 and the oracle modules load inside the functions that use them (`curve`,
@@ -127,29 +128,22 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="vasicek-barrier",
                      description="Knock-out barrier option pricing under Vasicek rates")
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "price": "price one option at one spot",
-        "curve": "price over a spot grid, optionally sweeping a parameter",
-        "verify": "run the oracle cross-checks",
-    }
-    for name, help_text in specs.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="flat key=value file; each line reads as a "
-                                         "--key=value flag before the command line's own")
-        for key in _FLOAT_KEYS:
-            sp.add_argument(f"--{key.replace('_', '-')}", type=float, default=DEFAULTS[key])
-        sp.add_argument("--sweep", default=DEFAULTS["sweep"], metavar="NAME=V1,V2,...",
+    parser.add_argument("command", choices=("price", "curve", "verify"),
+                        help="price one option, a curve over a spot grid, or run the checks")
+    parser.add_argument("--config", help="flat key=value file; each line reads as a "
+                                          "--key=value flag ahead of the command line")
+    for key in _FLOAT_KEYS:
+        parser.add_argument(f"--{key.replace('_', '-')}", type=float, default=DEFAULTS[key])
+    parser.add_argument("--sweep", default=DEFAULTS["sweep"], metavar="NAME=V1,V2,...",
                         help="sweep a, theta or rho over listed values (curve)")
-        sp.add_argument("--grid", default=DEFAULTS["grid"], metavar="MIN:MAX:N",
+    parser.add_argument("--grid", default=DEFAULTS["grid"], metavar="MIN:MAX:N",
                         help="spot grid (curve)")
-        for key in _INT_KEYS:
-            sp.add_argument(f"--{key}", type=int, default=DEFAULTS[key])
-        sp.add_argument("--out", default=DEFAULTS["out"], help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "svg"), default=DEFAULTS["format"])
-        if name == "price":
-            sp.add_argument("--verify", action="store_true",
-                            help="also report a Monte Carlo estimate")
+    for key in _INT_KEYS:
+        parser.add_argument(f"--{key}", type=int, default=DEFAULTS[key])
+    parser.add_argument("--out", default=DEFAULTS["out"], help="output path (default stdout)")
+    parser.add_argument("--format", choices=("csv", "svg"), default=DEFAULTS["format"])
+    parser.add_argument("--verify", action="store_true",
+                        help="also report a Monte Carlo estimate (price)")
     return parser
 
 
@@ -176,13 +170,12 @@ def _config_flags(path: str) -> list:
 
 
 def _parse_args(parser: _Parser, argv: list) -> argparse.Namespace:
-    """Parse argv, reading a config file's flags after the command, so that
-    the file overrides the defaults and the command line overrides the file."""
+    """Parse argv, reading a config file's flags ahead of it, so that the
+    file overrides the defaults and the command line overrides the file."""
     args = parser.parse_args(argv)
     if args.config is None:
         return args
-    at = argv.index(args.command) + 1  # the top-level parser takes no option before it
-    return parser.parse_args([*argv[:at], *_config_flags(args.config), *argv[at:]])
+    return parser.parse_args([*_config_flags(args.config), *argv])
 
 
 def _parse_sweep(text: str | None) -> tuple[str | None, tuple]:
@@ -229,6 +222,8 @@ def _resolve(args: argparse.Namespace) -> JobConfig:
     reversed walls, rho = 2) is a configuration error, named by the field
     in the library's message.
     """
+    if args.verify and args.command != "price":
+        raise ConfigError(f"verify: --verify is a price flag, not a {args.command} one")
     if (args.barrier_low is None) != (args.barrier_high is None):
         raise ConfigError("barrier_low/barrier_high: both are needed for a double barrier")
     try:
@@ -252,7 +247,7 @@ def _resolve(args: argparse.Namespace) -> JobConfig:
     return JobConfig(command=args.command, state=state, params=params, option=option,
                      single=single, sweep_name=sweep_name, sweep_params=variants, grid=grid,
                      paths=args.paths, steps=args.steps, seed=args.seed, out=args.out,
-                     format=args.format, verify_mc=getattr(args, "verify", False))
+                     format=args.format, verify_mc=args.verify)
 
 
 def _fmt(x: float) -> str:
@@ -463,8 +458,10 @@ def _verify_checks(cfg: JobConfig):
 
     p, state, single, mc_cfg = cfg.params, cfg.state, cfg.single, cfg.mc_config
     strike, tau, barrier = single.strike, single.maturity, single.log_barriers[0]
+    # no corridor given: [ln 100, barrier], or one as wide below a barrier at or under ln 100
+    below = math.log(100.0) if math.log(100.0) < barrier else barrier - math.log(1.3)
     double = (cfg.option if cfg.option.barrier_kind == pricer.DOUBLE
-              else pricer.OptionSpec.double(strike, tau, math.log(100.0), barrier))
+              else pricer.OptionSpec.double(strike, tau, below, barrier))
     low, high = double.walls
     const = replace(p, theta=p.r0, sigma2=0.0)
     spot_states = [pricer.MarketState(spot=s, rate=p.r0, time=0.0) for s in _VERIFY_SPOTS]

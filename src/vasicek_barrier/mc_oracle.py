@@ -370,13 +370,6 @@ def _ou_paths_into(r: np.ndarray, z: np.ndarray, r0: float, dt: float,
     np.add(z, p.theta + decay**j * (r0 - p.theta), out=r[:, 1:])
 
 
-def _log_discount_into(out: np.ndarray, r: np.ndarray, dt: float) -> None:
-    """Fill out with -integral of r dt per path, trapezoidal rule over the grid."""
-    r[:, 1:-1].sum(axis=1, out=out)
-    out += 0.5 * (r[:, 0] + r[:, -1])
-    out *= -dt
-
-
 def _bond_log_discount_weights(r0: float, tau: float, n: int,
                                p: VasicekParams) -> tuple[float, np.ndarray]:
     """(const, c): the trapezoid log discount of an n-step OU path as const + c . z.
@@ -668,7 +661,7 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
 
     Euler steps for ln S with drift r - sigma1^2/2, exact OU transitions for
     r with per-step correlation rho, discounting by the trapezoidal rate
-    integral; the drift integrates r by the same trapezoid rule.  The
+    integral, whose per-step terms are also the drift's rate terms.  The
     barrier is monitored on the log forward ln(S_t / P(r_t, t; tau)), with
     the same per-step bridge correction as the forward-measure estimator
     (the forward's instantaneous variance is the same under both measures).
@@ -695,13 +688,15 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
             np.multiply(z1, p.rho, out=r[:, 1:])  # r is free until the OU paths
             np.add(z2, r[:, 1:], out=z2)
             _ou_paths_into(r, z2, state.rate, dt, p)
-            _log_discount_into(log_disc[:h], r, dt)
             # Euler log-stock increments: ((r_j + r_{j+1})/2 - s1^2/2) dt + s1 sqrt(dt) Z1,
-            # the drift s1^2/2 dt left to `shift`; the rate term cancels the
-            # path discount's, so the discounted stock is an exact martingale
+            # the drift s1^2/2 dt left to `shift`; the path's log discount is
+            # minus the sum of the same trapezoid rate terms, so the
+            # discounted stock is an exact martingale
             np.multiply(z1, p.sigma1 * math.sqrt(dt), out=z1)
             np.add(r[:, :-1], r[:, 1:], out=z2)  # z2 is scratch after the OU paths
             np.multiply(z2, 0.5 * dt, out=z2)
+            np.sum(z2, axis=1, out=log_disc[:h])
+            np.negative(log_disc[:h], out=log_disc[:h])
             np.add(z1, z2, out=z1)
             z1[:, 0] += log_s0  # so the cumulative sum starts from ln S0
             np.cumsum(z1, axis=1, out=x[:h, 1:])

@@ -213,7 +213,11 @@ def effective_vol_sq(t: float, tau: float, p: VasicekParams) -> float:
     here in the manifestly non-negative form
     (sigma1 + rho*sigma2*B)^2 + (1 - rho^2)*(sigma2*B)^2.
     """
-    sB = p.sigma2 * b_factor(t, tau, p.a)
+    if p.sigma2:
+        sB = p.sigma2 * b_factor(t, tau, p.a)
+    else:  # the rate terms add 0, however large B
+        _check_order(float(t), float(tau))
+        sB = 0.0
     q = p.sigma1 + p.rho * sB
     return q * q + (1.0 - p.rho * p.rho) * sB * sB
 

@@ -50,6 +50,13 @@ class TestPriceCommand:
         mc, se = float(fields[2]), float(fields[3])
         assert abs(mc - 0.5328) <= 4.0 * se
 
+    @pytest.mark.parametrize("command", ["curve", "verify"])
+    def test_verify_flag_is_for_price_only(self, capsys, command):
+        for argv in ([command, "--verify"], ["--verify", command, *SMOKE]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err == f"error: verify: --verify is a price flag, not a {command} one\n"
+
     def test_missing_strike_value(self, capsys):
         code, _, err = run(capsys, "price", "--strike")
         assert code == 1
@@ -125,8 +132,9 @@ class TestPriceCommand:
 
     @pytest.mark.parametrize("flag", [key.replace("_", "-") for key in cli._FLOAT_KEYS])
     def test_every_float_flag_takes_a_negative_exponent_form(self, flag):
-        args = cli._build_parser().parse_args(["curve", f"--{flag}", "-5e-1"])
-        assert getattr(args, flag.replace("-", "_")) == -0.5
+        for argv in (["curve", f"--{flag}", "-5e-1"], [f"--{flag}", "-5e-1", "curve"]):
+            args = cli._build_parser().parse_args(argv)
+            assert args.command == "curve" and getattr(args, flag.replace("-", "_")) == -0.5
 
     def test_negative_exponent_form_prices_as_the_equals_form(self, capsys):
         spaced = run(capsys, "price", "--a", "-5e-1")
@@ -228,8 +236,8 @@ class TestConfigFile:
         if key == "out":
             value, override = str(tmp_path / value), str(tmp_path / override)
 
-        def job(*argv):  # exit code, stdout, stderr and the files written
-            result = run(capsys, *command, *argv)
+        def job(before, after):  # exit code, stdout, stderr and the files written
+            result = run(capsys, *before, *command, *after)
             written = {f.name: f.read_text() for f in tmp_path.glob("*.csv")}
             for name in written:
                 (tmp_path / name).unlink()
@@ -238,8 +246,12 @@ class TestConfigFile:
         flag = f"--{key.replace('_', '-')}"
         cfg = tmp_path / "job.cfg"
         cfg.write_text(f"{key} = {value}\n")
-        assert job("--config", str(cfg)) == job(f"{flag}={value}")
-        assert job("--config", str(cfg), f"{flag}={override}") == job(f"{flag}={override}")
+        file, given, overriding = ["--config", str(cfg)], f"{flag}={value}", f"{flag}={override}"
+        # a flag reads the same on either side of the command, and overrides
+        # the file from either side
+        assert job([], file) == job([], [given]) == job([given], [])
+        assert (job([], [*file, overriding]) == job([overriding], file)
+                == job([], [overriding]) == job([overriding], []))
 
 
 class TestCurveCommand:
@@ -369,9 +381,12 @@ class TestCurveCommand:
 
 
 class TestVerifyCommand:
-    def test_smoke_run_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--paths", "1000", "--steps", "64")
-        assert code == 0
+    # a barrier at or below ln 100 checks a corridor ln 1.3 wide below it,
+    # not the reversed [ln 100, barrier]
+    @pytest.mark.parametrize("barrier", [[], ["--barrier", "4.6"]])
+    def test_smoke_run_passes(self, capsys, barrier):
+        code, out, err = run(capsys, "verify", *barrier, "--paths", "1000", "--steps", "64")
+        assert code == 0 and err == ""
         lines = out.strip().splitlines()
         assert lines[-1] == "all checks passed"
         assert all(line.startswith("PASS") for line in lines[:-1])
@@ -600,18 +615,22 @@ _ARGV_SECONDS = 5.0  # per invocation, at the smoke scale below
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(command=st.sampled_from(["price", "curve", "verify"]),
+@given(before=st.lists(_flag_pairs, max_size=2),
+       command=st.sampled_from(["price", "curve", "verify"]),
        pairs=st.lists(_flag_pairs, max_size=4),
        extra=st.sampled_from([[], [], [], ["--verify"], ["--bogus"], ["7"]]))
 # one case for each exit code that the draws may miss: 2, 3, 4 and 5
-@example(command="price", pairs=[["--spot", "135"]], extra=[])
-@example(command="verify", pairs=[["--a", "800"]], extra=[])
-@example(command="curve", pairs=[["--grid=-5:5:3"], ["--sweep", "a=-80,1"],
-                                 ["--maturity", "10"]], extra=[])
-@example(command="price", pairs=[["--sigma2", "1e200"]], extra=[])
-def test_argv_grammar_exits_by_code_without_a_traceback_or_warning(command, pairs, extra):
-    # later flags win, so a drawn --paths or --steps replaces the smoke scale
-    argv = [command, "--paths", "256", "--steps", "8", *sum(pairs, []), *extra]
+@example(before=[], command="price", pairs=[["--spot", "135"]], extra=[])
+@example(before=[["--a", "800"]], command="verify", pairs=[], extra=[])
+@example(before=[["--grid=-5:5:3"]], command="curve", pairs=[["--sweep", "a=-80,1"],
+                                                             ["--maturity", "10"]], extra=[])
+@example(before=[], command="price", pairs=[["--sigma2", "1e200"]], extra=[])
+def test_argv_grammar_exits_by_code_without_a_traceback_or_warning(before, command, pairs,
+                                                                   extra):
+    # later flags win, so a drawn --paths or --steps, before or after the
+    # command, replaces the smoke scale
+    argv = ["--paths", "256", "--steps", "8", *sum(before, []), command, *sum(pairs, []),
+            *extra]
     out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
