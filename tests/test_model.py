@@ -221,14 +221,14 @@ class TestEffectiveVolSq:
     def test_equals_stock_variance_at_maturity(self):
         assert effective_vol_sq(1.0, 1.0, REF) == pytest.approx(0.09, rel=1e-14)
 
-    # at a = -2 over 400 years B passes the float range, but sigma2 = 0 adds nothing
-    @pytest.mark.parametrize("a, tau", [(1.0, 1.0), (-2.0, 400.0)])
-    def test_degenerate_rate_vol(self, a, tau):
-        p = VasicekParams(a=a, theta=0.0, sigma1=0.3, sigma2=0.0, rho=0.5, r0=0.05)
-        for t in (0.0, 0.3 * tau, 0.9 * tau):
-            assert effective_vol_sq(t, tau, p) == pytest.approx(0.09, rel=1e-14)
-        with pytest.raises(ValueError, match="exceeds maturity"):
-            effective_vol_sq(tau + 1.0, tau, p)
+    def test_degenerate_rate_vol(self):
+        # at a = -2 over 400 years B passes the float range, but sigma2 = 0 adds nothing
+        for a, tau in ((1.0, 1.0), (-2.0, 400.0)):
+            p = VasicekParams(a=a, theta=0.04, sigma1=0.3, sigma2=0.0, rho=0.5, r0=0.05)
+            for t in (0.0, 0.3 * tau, 0.9 * tau):
+                assert effective_vol_sq(t, tau, p) == pytest.approx(0.09, rel=1e-14)
+            with pytest.raises(ValueError, match="exceeds maturity"):
+                effective_vol_sq(tau + 1.0, tau, p)
 
     def test_quadratic_form_recomputation(self):
         # recompute via B(t) and the plain quadratic, independent of the
