@@ -1,7 +1,7 @@
 """Tour of the knock-out transition kernels.
 
-Shows the image-method kernel against its barrier-free limit, the corridor
-kernel's eigenmode count across variance scales, the absorption of
+Shows the image-method kernel against its barrier-free limit, the series
+the corridor kernel sums across variance scales, the absorption of
 probability mass at the walls, and the composition law that makes a single
 evaluation at the total accumulated variance exact.
 """
@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 from vasicek_barrier import (barrier_kernel, double_barrier_kernel, free_kernel,
                              series_terms)
+from vasicek_barrier.kernels import _term_counts
 
 B_LOW, B_UP = math.log(100.0), math.log(130.0)
 v = 0.138  # a representative one-year accumulated variance
@@ -32,9 +33,12 @@ for mult in (0.5, 1.0, 2.0, 4.0, 8.0):
                    x - 14 * math.sqrt(v), b, limit=200)
     print(f"  barrier at x + {mult:3.1f} sd  ->  {mass:.6f}")
 
-print("\neigenmodes needed for the corridor kernel (tol 1e-12):")
-for vv in (1e-4, 1e-3, 1e-2, 0.138, 1.0):
-    print(f"  v={vv:7.4f}  modes={series_terms(vv, B_LOW, B_UP):5d}")
+print("\nthe series the corridor kernel sums (the shorter, each to a tail of 1e-12):")
+for vv in (1e-12, 1e-4, 1e-3, 1e-2, 0.138, 1.0):
+    groups, modes = _term_counts(vv, B_UP - B_LOW)
+    series, terms = (("images", 4 * groups + 3) if 4 * groups + 3 <= modes
+                     else ("sines", series_terms(vv, B_LOW, B_UP)))
+    print(f"  v={vv:7.1e}  {series:6s} terms={terms}")
 
 print("\ncomposition check: splitting the variance and re-integrating")
 v1, v2 = 0.06, 0.078

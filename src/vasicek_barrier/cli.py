@@ -404,7 +404,7 @@ def _mc_check(analytic: float, est: mc_oracle.MCEstimate,
 def _bond_ode_check(analytic_bond: float, ode_bond: float) -> tuple[bool, str]:
     """The closed-form bond against the ODE's."""
     rel = abs(analytic_bond - ode_bond) / abs(ode_bond)
-    return rel <= 1e-8, f"rel={rel:.2e} (analytic {analytic_bond:.10f}, ode {ode_bond:.10f})"
+    return rel <= 1e-8, f"rel={rel:.2e} (analytic {analytic_bond:.10g}, ode {ode_bond:.10g})"
 
 
 def _rel_check(ours, oracle, over: str) -> tuple[bool, str]:
@@ -446,9 +446,9 @@ def _verify_checks(cfg: JobConfig):
     oracle's.  Then one table row per check, (name, check), in output order:
     each check runs its oracle and returns (passed, detail).  One loop runs
     the table, and its one failure path FAILs by name a check whose oracle
-    cannot evaluate the inputs (ValueError or QuadratureError: a corridor
-    kernel past its mode budget, a quadrature past its panel budget, MC
-    paths or the bond ODE past the float range).  The constant-rate
+    cannot evaluate the inputs (ValueError or QuadratureError: a quadrature
+    past its panel budget, MC paths or the bond ODE past the float range, a
+    bond MC whose log discount no run can sample).  The constant-rate
     reduction prices a model of its own (theta = r0, sigma2 = 0) inside its
     row, so an input that model cannot value FAILs that row alone.
     """

@@ -401,9 +401,22 @@ def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimat
     (`_bond_log_discount_weights`), and no rate path is built.  The bond is
     the block loop's payoff struck at zero on the log discount, a
     one-column path, with no barrier.
+
+    The log discount is N(const, s^2) with s^2 = weights . weights.  Half
+    the bond is carried by the paths past const + s^2, the centre of that
+    law tilted by e^{log discount}, and a share Phi(-s) of all paths lies
+    there.  Where that share is below one path in _MAX_PATHS, no run can
+    sample them and the estimate falls short by orders of magnitude, so a
+    ValueError names a and s^2 instead (s^2 past about 28).
     """
     n = _n_steps(cfg, tau)
     const, weights = _bond_log_discount_weights(r0, tau, n, p)
+    with np.errstate(over="ignore"):
+        spread = float(weights @ weights)
+    if _MAX_PATHS * 0.5 * math.erfc(math.sqrt(spread / 2.0)) < 1.0:
+        raise ValueError(f"a={p.a!r} over {tau:g} years: the log discount's variance "
+                         f"{spread:.4g} puts the bond's mean where fewer than one path in "
+                         f"{_MAX_PATHS} falls")
 
     def build(rng, buf, m):
         z, log_disc = buf.drawn("z", m), buf.column("log_disc", m)

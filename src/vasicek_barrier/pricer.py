@@ -28,7 +28,7 @@ images' single-reflection case, the reflection formula.
 
 This is the production path, and with `model.py` it imports no other module
 of the package, and no numpy outside `price_curve`.  The kernels of
-`kernels.py`, with their own mode count `kernels.series_terms`, and the
+`kernels.py`, summed pointwise with their own term counts, and the
 adaptive quadrature of `quadrature.py` do not run on it: `quad_oracle`
 integrates the kernels numerically, and `verify` and the tests hold the
 closed forms to that independent result and to the textbook constant-rate

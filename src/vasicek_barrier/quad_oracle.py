@@ -1,14 +1,14 @@
-"""Knock-out prices by adaptive quadrature of the transition kernels.
+"""Knock-out prices by adaptive quadrature of the transition kernel.
 
 The independent check on the closed forms in `pricer`.  It maps spot to the
 log forward and accumulates the variance as the pricer does, then
-integrates `barrier_kernel` or `double_barrier_kernel` against the call
-payoff with `quadrature.integrate` instead of using the reflection formula
-or the integrated sine series.  It has no settings: the kernel's mode count
-follows from v and the width, and the quadrature works to its fixed
-tolerances (1e-10 relative, 1e-12 absolute, 4096 panels).  `verify` and the
-tests hold the production prices to this result; nothing on the production
-path calls it.
+integrates `double_barrier_kernel` (lower = -inf for the up-and-out)
+against the call payoff with `quadrature.integrate` instead of using the
+pricer's closed-form image and sine sums.  It has no settings: the kernel
+picks its series and term count from v and the width, and the quadrature
+works to its fixed tolerances (1e-10 relative, 1e-12 absolute, 4096
+panels).  `verify` and the tests hold the production prices to this result;
+nothing on the production path calls it.
 """
 
 from __future__ import annotations
@@ -17,14 +17,15 @@ import math
 
 import numpy as np
 
-from .kernels import barrier_kernel, double_barrier_kernel
+from .kernels import double_barrier_kernel
 from .model import VasicekParams, bond_price, integrated_variance
 from .pricer import MarketState, OptionSpec, PriceResult, log_forward
 from .quadrature import integrate
 
-# The image kernel carries no mass beyond this many standard deviations
-# below the start; the up-and-out domain is clipped there, which changes the
-# value by less than exp(-72).
+# The kernel lies under the free one, a Gaussian of variance v centred at
+# x - v/2 (at x + v/2 once weighted by e^{x'}); beyond x -+ (v/2 + this many
+# standard deviations) the payoff-weighted kernel holds less than
+# 2 Phi(-12) e^x, about 4e-33 e^x, so the window is clipped there.
 _TAIL_SDS = 12.0
 
 
@@ -32,12 +33,10 @@ def price_by_quadrature(state: MarketState, spec: OptionSpec,
                         p: VasicekParams) -> PriceResult:
     """P times the integral of kernel(x, x', v) * (e^{x'} - K) over the payoff region.
 
-    The up-and-out integrates `barrier_kernel` over max(ln K, x - v/2 -
-    12 sqrt(v)) < x' < B; the corridor integrates `double_barrier_kernel`
-    over max(ln K, lower) < x' < upper.  Knock-out and empty-payoff cases
-    price as in `pricer`.  Raises `QuadratureError` when `integrate` does
-    not converge, and ValueError when the corridor kernel cannot be
-    evaluated at v.
+    Both kinds integrate `double_barrier_kernel` over one window,
+    max(ln K, l, x - r) < x' < min(u, x + r) with r = v/2 + 12 sqrt(v), or
+    price 0 where it is empty.  Knock-out and empty-payoff cases price as
+    in `pricer`.  Raises `QuadratureError` when `integrate` does not converge.
     """
     x = log_forward(state, spec, p)
     lower, upper = spec.walls
@@ -50,15 +49,8 @@ def price_by_quadrature(state: MarketState, spec: OptionSpec,
     v = integrated_variance(state.time, spec.maturity, spec.maturity, p)
     if v == 0.0:
         return PriceResult(disc * max(math.exp(x) - spec.strike, 0.0))
-    if lower == -math.inf:
-        lo = max(log_k, x - 0.5 * v - _TAIL_SDS * math.sqrt(v))
-
-        def kernel(xp):
-            return barrier_kernel(x, xp, v, upper)
-    else:
-        lo = max(log_k, lower)
-
-        def kernel(xp):
-            return double_barrier_kernel(x, xp, v, lower, upper)
-    val, _ = integrate(lambda xp: kernel(xp) * (np.exp(xp) - spec.strike), lo, upper)
+    reach = 0.5 * v + _TAIL_SDS * math.sqrt(v)
+    lo, hi = max(log_k, lower, x - reach), min(upper, x + reach)
+    val, _ = integrate(lambda xp: double_barrier_kernel(x, xp, v, lower, upper)
+                       * (np.exp(xp) - spec.strike), lo, max(lo, hi))
     return PriceResult(disc * val)

@@ -513,6 +513,10 @@ class TestVerifyCommand:
             assert verdicts[name] == "PASS", out
         oracle_failures = [line for line in lines if "oracle cannot evaluate" in line]
         assert oracle_failures and all(line.startswith("FAIL") for line in oracle_failures)
+        # the quadrature either agrees or cannot resolve a kernel 1e-9 wide;
+        # it never returns a wrong price
+        quadrature = next(line for line in lines if "closed form vs kernel quadrature" in line)
+        assert quadrature.startswith("PASS") or "oracle cannot evaluate" in quadrature, out
 
     def test_mc_oracle_past_the_float_range_fails_its_own_checks_by_name(self, capsys):
         # a = 800 over a year: the OU paths need e^800, so the two-factor
@@ -528,6 +532,19 @@ class TestVerifyCommand:
         assert "|z|=" in failed["bond vs monte carlo"]
         two_factor = failed["single barrier vs two-factor mc"]
         assert "oracle cannot evaluate" in two_factor and "a=800.0" in two_factor
+
+    def test_a_bond_no_run_can_sample_fails_its_own_row(self, capsys):
+        # a = -1 over 5 years: the log discount has variance 968, so the bond
+        # MC gives up by name; the ODE row prints the 6.8e208 bonds in short
+        code, out, err = run(capsys, "verify", "--a=-1", "--maturity", "5", "--paths", "256",
+                             "--steps", "8")
+        lines = out.strip().splitlines()
+        assert err == "" and code == 3 and len(lines) == 10
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith(
+            "FAIL  bond vs monte carlo                        oracle cannot evaluate these "
+            "inputs: ValueError: a=-1.0 over 5 years: the log discount's variance 967.6 ")
+        assert "(analytic 6.813903316e+208, ode 6.81390332" in lines[1]
 
     def test_an_ode_bond_past_the_float_range_fails_its_own_check(self, capsys, monkeypatch):
         # the ODE oracle raises by name where its solution leaves the float

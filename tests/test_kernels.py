@@ -40,6 +40,7 @@ class TestBarrierKernel:
     def test_vanishes_on_the_wall(self):
         assert barrier_kernel(4.5, B_UP, 0.14, B_UP) == 0.0
         assert barrier_kernel(B_UP, 4.8, 0.14, B_UP) == 0.0
+        assert barrier_kernel(4.5, B_UP + 0.01, 0.14, B_UP) == 0.0
 
     def test_far_barrier_reduces_to_free(self):
         v = 0.2
@@ -113,6 +114,12 @@ class TestDoubleBarrierKernel:
                 assert val == pytest.approx(
                     barrier_kernel(float(x), float(xp), v, B_UP), abs=1e-8)
 
+    def test_no_lower_wall_is_the_up_and_out(self):
+        xp = np.linspace(B_UP - 2.0, B_UP + 0.5, 51)
+        for v in (1e-8, 0.14, 5.0):
+            assert np.array_equal(double_barrier_kernel(4.7, xp, v, -math.inf, B_UP),
+                                  barrier_kernel(4.7, xp, v, B_UP))
+
     def test_chapman_kolmogorov(self):
         v1, v2 = 0.05, 0.09
         for x, xp in ((4.65, 4.80), (4.62, 4.70), (4.85, 4.63)):
@@ -138,17 +145,20 @@ class TestDoubleBarrierKernel:
         assert np.all(vals >= -_SERIES_TOL)
 
     def test_truncation_insensitivity(self):
-        # twice the modes moves the kernel by less than the series tolerance
-        # times the prefactor's largest value, e^{L/2}, anywhere in the corridor
+        # the kernel, by whichever series it sums, against the image series
+        # summed over 40 groups each way, differs by less than the series
+        # tolerance times the prefactor's largest value, e^{L/2}; v runs from
+        # the image branch (1e-6) to the sine branch (0.5)
         rng = np.random.default_rng(6)
         width = B_UP - B_LOW
         for _ in range(100):
             x, xp = rng.uniform(B_LOW, B_UP, 2)
-            v = rng.uniform(0.005, 0.5)
-            pn = np.pi * np.arange(1, 2 * series_terms(v, B_LOW, B_UP) + 1) / width
-            modes = np.exp(-0.5 * pn * pn * v) * np.sin(pn * (x - B_LOW)) \
-                * np.sin(pn * (xp - B_LOW))
-            fine = math.exp(0.5 * (x - xp) - v / 8.0) * (2.0 / width) * math.fsum(modes)
+            v = math.exp(rng.uniform(math.log(1e-6), math.log(0.5)))
+            shifts = 2.0 * width * np.arange(-40, 41)
+            images = np.exp(-(x - xp + shifts) ** 2 / (2.0 * v)) \
+                - np.exp(-(x + xp - 2.0 * B_UP + shifts) ** 2 / (2.0 * v))
+            fine = math.exp(0.5 * (x - xp) - v / 8.0) * math.fsum(images) \
+                / math.sqrt(2.0 * math.pi * v)
             delta = abs(double_barrier_kernel(x, xp, v, B_LOW, B_UP) - fine)
             assert delta < _SERIES_TOL * math.exp(0.5 * width)
 
@@ -156,8 +166,11 @@ class TestDoubleBarrierKernel:
         # at v = 1e-12 the series needs about 6e5 modes, past the fixed cap
         with pytest.raises(ValueError, match=r"v=1e-12 needs more than 100000 modes"):
             series_terms(1e-12, B_LOW, B_UP)
-        with pytest.raises(ValueError, match=r"v=1e-12"):
-            double_barrier_kernel(4.7, 4.72, 1e-12, B_LOW, B_UP)
+        # the kernel sums its images there instead: far from the lower wall,
+        # the up-and-out's two Gaussians, to the last bit
+        xp = np.linspace(4.7 - 1e-5, 4.7 + 1e-5, 41)
+        assert np.array_equal(double_barrier_kernel(4.7, xp, 1e-12, B_LOW, B_UP),
+                              barrier_kernel(4.7, xp, 1e-12, B_UP))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -91,6 +91,13 @@ def test_import_scan_sees_oracle_imports():
     assert set(ORACLES) <= _sibling_imports(PACKAGE / "cli.py")
 
 
+def test_quadrature_oracle_takes_one_kernel():
+    # both barrier kinds integrate the one corridor kernel, lower = -inf for
+    # the up-and-out, so there is no kernel to pick by kind
+    assert [(module, name) for module, name in _imports(PACKAGE / "quad_oracle.py")
+            if module == "kernels"] == [("kernels", "double_barrier_kernel")]
+
+
 @pytest.mark.parametrize("oracle", sorted(SHARED))
 def test_oracle_shares_only_the_listed_core_names(oracle):
     shared = {}

@@ -110,9 +110,19 @@ class TestFloatRange:
             price_barrier_mc_two_factor(STATE, single, self.model(800.0), MCConfig(1000, 8, 1))
 
     def test_non_finite_payoffs_raise(self):
-        # |a| tau = 600 stays in range, but the rates grow like e^600
+        # rates from -1000 discount by about e^865 over two years: the
+        # weights stay in range, but every payoff overflows
         with pytest.raises(ValueError, match="payoffs of block 0 are not finite"):
-            bond_mc(0.05, 10.0, self.model(-60.0), MCConfig(1000, 8, 1))
+            bond_mc(-1000.0, 2.0, REF, MCConfig(1000, 8, 1))
+
+    @pytest.mark.parametrize("a, tau, spread", [(-1.0, 5.0, r"967\.6"), (-60.0, 10.0, "inf")])
+    def test_a_log_discount_no_run_can_sample_names_a(self, a, tau, spread):
+        # a = -1 over 5 years spreads the log discount to variance 968 (0.015
+        # for the reference model); at a = -60 the rates grow like e^600 and
+        # the variance overflows.  Either fails by name before any path
+        with pytest.raises(ValueError, match=rf"a={a!r} over {tau:g} years: the log "
+                                             rf"discount's variance {spread} "):
+            bond_mc(0.05, tau, self.model(a), MCConfig(256, 8, 1))
 
     def test_negative_step_variance_names_a(self, monkeypatch):
         # integrated_variance no longer cancels below zero at small a (it once

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vasicek_barrier import (MCConfig, MarketState, OptionSpec, VasicekParams, bond_mc,
-                             bond_price, integrated_variance, log_forward, price,
-                             price_barrier_mc, price_barrier_mc_two_factor,
+from vasicek_barrier import (MCConfig, MarketState, OptionSpec, QuadratureError,
+                             VasicekParams, bond_mc, bond_price, integrated_variance,
+                             log_forward, price, price_barrier_mc, price_barrier_mc_two_factor,
                              price_by_quadrature, vanilla_call_forward)
 from vasicek_barrier.pricer import _image_sum, _sine_sum, series_counts
 
@@ -211,6 +211,41 @@ def test_closed_forms_match_kernel_quadrature(p, tau, spot, strike, upper, width
     quad = price_by_quadrature(state, option, p).price
     assert math.isfinite(ours)
     assert ours == pytest.approx(quad, rel=1e-9, abs=1e-12)
+
+
+@derandomized(200)
+@given(v=st.floats(math.log(1e-14), math.log(5.0)).map(math.exp), tau=maturities,
+       strike=st.floats(60.0, 140.0), upper=st.floats(math.log(95.0), math.log(170.0)),
+       width=st.floats(0.01, 1.5), at=st.floats(-0.25, 1.25), corridor=st.booleans())
+@example(v=1e-12, tau=1.0, strike=100.0, upper=B_UP, width=B_UP - B_LOW, at=0.45,
+         corridor=False)
+@example(v=1e-14, tau=1.0, strike=100.0, upper=B_UP, width=B_UP - B_LOW, at=0.45,
+         corridor=False)
+@example(v=1e-10, tau=1.0, strike=100.0, upper=B_UP, width=B_UP - B_LOW, at=0.45,
+         corridor=True)
+@example(v=1e-14, tau=0.25, strike=100.0, upper=B_UP, width=0.05, at=0.3, corridor=True)
+@example(v=5.0, tau=10.0, strike=100.0, upper=B_UP, width=1.5, at=0.5, corridor=True)
+def test_kernel_quadrature_matches_the_closed_form_at_any_variance(v, tau, strike, upper,
+                                                                   width, at, corridor):
+    # sigma2 = 0 makes v = sigma1^2 tau.  The log forward starts a share
+    # ``at`` of the width below the upper wall, outside the walls for at < 0
+    # and, in a corridor, at > 1.  From a kernel far narrower than the
+    # window to one wider than the corridor, the quadrature agrees to 1e-9
+    # relative or 1e-12 absolute, or fails by name.  The absolute floor is
+    # the price's rounding next to a wall, where a one-ulp change of x moves
+    # it by about e^u ulp(x), some 1e-13
+    p = VasicekParams(a=1.0, theta=0.04, sigma1=math.sqrt(v / tau), sigma2=0.0, rho=0.5,
+                      r0=0.05)
+    option = _option(strike, tau, upper - width if corridor else -math.inf, upper)
+    state = MarketState(spot=bond_price(p.r0, 0.0, tau, p) * math.exp(upper - at * width),
+                        rate=p.r0)
+    ours = price(state, option, p)
+    try:
+        quad = price_by_quadrature(state, option, p)
+    except QuadratureError:
+        return
+    assert ours.knocked_out == quad.knocked_out
+    assert ours.price == pytest.approx(quad.price, rel=1e-9, abs=1e-12)
 
 
 @derandomized(1200)
