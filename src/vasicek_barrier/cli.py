@@ -415,7 +415,11 @@ def _rel_check(ours, oracle, over: str) -> tuple[bool, str]:
 
 def _composition_check(kernel, draw, lo: float, hi: float, split: float,
                        total: float) -> tuple[bool, str]:
-    """Chapman-Kolmogorov over (lo, hi) at ten start pairs (x, x') = (draw(), draw()).
+    """Chapman-Kolmogorov over (lo, hi) at ten start pairs (x, x') = draw().
+
+    The integral is clipped to 12 standard deviations of the total variance
+    beyond the pair, where each kernel factor is below e^-72 of its peak,
+    so that the panels do not miss a kernel far narrower than (lo, hi).
 
     The second factor of kernel(x, x', v) is evaluated with its arguments
     swapped via the prefactor symmetry k(z, y) = e^{z-y} k(y, z), which
@@ -426,13 +430,14 @@ def _composition_check(kernel, draw, lo: float, hi: float, split: float,
 
     from . import quadrature
 
+    reach = 12.0 * math.sqrt(total)
     worst = 0.0
     for _ in range(10):
-        x, xp = draw(), draw()
+        x, xp = draw()
         with np.errstate(over="ignore", invalid="ignore"):
             val, _ = quadrature.integrate(
                 lambda z: kernel(x, z, split) * kernel(xp, z, total - split) * np.exp(z - xp),
-                lo, hi)
+                max(lo, min(x, xp) - reach), min(hi, max(x, xp) + reach))
         worst = max(worst, abs(val - kernel(x, xp, total)))
     return worst <= 1e-8, f"max abs={worst:.2e} over 10 pairs"
 
@@ -478,6 +483,16 @@ def _verify_checks(cfg: JobConfig):
     cap_single = max(math.exp(barrier) - strike, 0.0)
     disc = math.exp(-p.r0 * tau)
     rng = np.random.default_rng(1234)
+
+    # start pairs where the kernels are not 0: both within 3 sd of the
+    # barrier, or x' within 3 sd of x inside the corridor
+    def near_the_wall():
+        return tuple(barrier - rng.uniform(0.05, 3.0) * math.sqrt(sig) for _ in range(2))
+
+    def inside_corridor():
+        inner = (low + 0.05 * (high - low), high - 0.05 * (high - low))
+        x = rng.uniform(*inner)
+        return x, min(max(x + rng.uniform(-3.0, 3.0) * math.sqrt(sig), inner[0]), inner[1])
     checks = (
         ("bond vs monte carlo",
          lambda: _mc_check(bond, mc_oracle.bond_mc(p.r0, tau, p, mc_cfg), 1.0)),
@@ -507,12 +522,12 @@ def _verify_checks(cfg: JobConfig):
         ("chapman-kolmogorov (single kernel)",
          lambda: _composition_check(
              lambda x, xp, v: kernels.barrier_kernel(x, xp, v, barrier),
-             lambda: barrier - rng.uniform(0.05, 3.0) * math.sqrt(sig),
+             near_the_wall,
              barrier - 12.0 * math.sqrt(sig), barrier, split, sig)),
         ("chapman-kolmogorov (double kernel)",
          lambda: _composition_check(
              lambda x, xp, v: kernels.double_barrier_kernel(x, xp, v, low, high),
-             lambda: rng.uniform(low + 0.05 * (high - low), high - 0.05 * (high - low)),
+             inside_corridor,
              low, high, split, sig)),
     )
     for name, check in checks:

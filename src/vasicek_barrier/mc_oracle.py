@@ -35,14 +35,15 @@ h = ceil(m/2) paths only, and path h + i is the antithetic partner of path
 i, the path of its normals negated (the two-factor estimator negates both
 of its normal sets).  Every builder is affine in its normals, so that
 partner is the reflection 2 x0 - x_i about the zero-noise path x0:
-`_simulate` builds x0 once per call and writes rows h.. of each block as
-reflections, so the builders do their per-step arithmetic on the drawn rows
-alone.  The mean is taken over all paths; the standard error over units,
-each pair (i, h + i) one unit and the unpaired row h - 1 of an odd block a
-unit of its own (`_payoff_stats`, `_reduce`).  With only pairs it is the
-sample standard deviation of the pair means over the square root of the
-number of pairs.  Pairs are unbiased and halve the draws (Glasserman 2004,
-§4.2).
+`_simulate` builds x0 once per call; each block builds its h drawn rows,
+records their final points, discounts and monitor weights, then reflects
+rows 0..m-h-1 in place and records them again as rows h..m-1, so the
+builders do their per-step arithmetic on the drawn rows alone.  The mean
+is taken over all paths; the standard error over units, each pair
+(i, h + i) one unit and the unpaired row h - 1 of an odd block a unit of
+its own (`_payoff_stats`, `_reduce`).  With only pairs it is the sample
+standard deviation of the pair means over the square root of the number
+of pairs.  Pairs are unbiased and halve the draws (Glasserman 2004, §4.2).
 
 Determinism contract: paths are generated in fixed blocks of 2**11 using the
 SFC64 generator keyed by (seed, block index).  Each block draws only
@@ -55,16 +56,18 @@ block index and combined in block order with pairwise summation, so
 estimates are bit-identical across runs and across thread counts for
 identical (seed, n_paths, n_steps).
 
-The inner loops write into buffers that each thread allocates once; at the
-default resolution a path array is 8 MB (2**11 paths x 512 steps).  Each
-thread keeps one path array and only the scratch its estimator needs: the
-normals of the forward (and the first set of the two-factor estimator) live
-in the half of the path array that the reflection fills last, the
-two-factor estimator adds its second normals and its rate paths (4 MB
-each), and the bond needs only its normals, since its log discount is one
-weighted sum of them.  The knock monitor works through the rows near a wall
-in chunks of about _MONITOR_CHUNK elements, so its temporaries stay small.
-Avoiding temporaries roughly triples throughput.
+The inner loops write into buffers that each thread allocates once, with
+one row per drawn path: at the default resolution an array is 4 MB
+(2**10 rows x 512 steps).  Paths hold no start column, since every path
+of a call starts at the same point; the builder returns that point.  The
+forward turns its normals into increments and their cumulative sum in
+place, in one array; the two-factor estimator turns its first normals
+into ln S and then the log forward, and its second into the rates, in
+two, through a row-chunk scratch for the rate terms; the bond needs only
+its normals, since its log discount is one weighted sum of them.  The
+knock monitor works through the rows near a wall in chunks of about
+_CHUNK elements, so its temporaries stay small.  Avoiding temporaries
+roughly triples throughput.
 """
 
 from __future__ import annotations
@@ -102,15 +105,16 @@ _EXP_FLOOR = -700.0
 # discount weights by up to e^{-a tau}; past e^700 they can leave the float
 # range (max ~ e^709.8).
 _OU_RANGE = 700.0
-# Steps a path, checked before anything is allocated: a worker's path array
-# of 2**11 rows then stays under 256 MB (the two-factor's under 512 MB).
+# Steps a path, checked before anything is allocated: a worker's array of
+# 2**10 drawn rows then stays under 128 MB (the two-factor's two under 256 MB).
 _MAX_STEPS = 1 << 14
 # Paths a run, checked by `MCConfig`: `_simulate` submits every block at
 # once, and 8192 blocks of 2**11 paths hold about 14 MB of futures.
 _MAX_PATHS = 1 << 24
-# Elements of x per chunk of the knock monitor's near-wall rows: bounds its
-# temporaries at about 0.5 MB each.  A 32-step block of 2**11 rows is one chunk.
-_MONITOR_CHUNK = 1 << 16
+# Elements per chunk of the loops that work through a block's rows in chunks
+# (the knock monitor's near-wall rows, the two-factor's rate terms): bounds
+# their temporaries at about 0.5 MB each.  A 32-step block is one chunk.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -218,39 +222,38 @@ def _reduce(stats: list, sizes: np.ndarray, n_steps: int, seed: int) -> MCEstima
 class _Buffers:
     """Block scratch arrays by name, each allocated once.
 
-    ``buf.paths(m)`` returns (x, z): x, the first m rows of the block's
-    (rows + rows % 2, n_steps + 1) path array, and z, a contiguous
-    (ceil(m/2), n_steps) array of normals over the storage of its rows
-    (rows + 1) // 2 on.  A builder that writes only rows ..ceil(m/2) of x
-    leaves z intact; the reflection in `_simulate` overwrites it after the
-    build.  ``buf.drawn(name, m, extra)`` returns the first ceil(m/2) rows
-    of a (ceil(rows/2), n_steps + extra) array: scratch on the drawn rows.
+    ``buf.drawn(name, m)`` returns the first ceil(m/2) rows of a
+    (ceil(rows/2), n_steps) array: one row per drawn path, which
+    `_simulate` reflects in place once those rows are recorded.
+    ``buf.chunks(name, m)`` splits those rows into slices of about _CHUNK
+    elements and returns them with a scratch array for one slice.
     ``buf.column(name, m)`` returns the first m entries of a (rows,)
     vector.  A partial final block reuses the same memory.
     """
 
     def __init__(self, rows: int, n_steps: int, dtype=float):
         self._shape = (rows, n_steps)
-        self._dtype = dtype
+        self.dtype = dtype
         self._arrays: dict[str, np.ndarray] = {}
 
     def _array(self, name: str, shape: tuple) -> np.ndarray:
         a = self._arrays.get(name)
         if a is None:
-            a = self._arrays[name] = np.empty(shape, self._dtype)
+            a = self._arrays[name] = np.empty(shape, self.dtype)
         return a
 
-    def paths(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The block's paths x (m, n_steps + 1) and the normals z under their upper half."""
-        rows, n = self._shape
-        x = self._array("x", (rows + rows % 2, n + 1))
-        start, h = x.shape[0] // 2 * x.shape[1], _drawn(m)
-        return x[:m], x.reshape(-1)[start:start + h * n].reshape(h, n)
-
-    def drawn(self, name: str, m: int, extra: int = 0) -> np.ndarray:
+    def drawn(self, name: str, m: int) -> np.ndarray:
         """The first ceil(m/2) rows of an array with one row per drawn path."""
         rows, n = self._shape
-        return self._array(name, (_drawn(rows), n + extra))[:_drawn(m)]
+        return self._array(name, (_drawn(rows), n))[:_drawn(m)]
+
+    def chunks(self, name: str, m: int) -> tuple[list, np.ndarray]:
+        """Slices of the ceil(m/2) drawn rows, each of about _CHUNK elements (at
+        least a row), and an array with the rows of the largest."""
+        rows, n = self._shape
+        per = min(max(1, _CHUNK // n), _drawn(rows))
+        h = _drawn(m)
+        return [slice(i, min(i + per, h)) for i in range(0, h, per)], self._array(name, (per, n))
 
     def column(self, name: str, m: int) -> np.ndarray:
         """The first m entries of a vector with one entry per row."""
@@ -272,9 +275,10 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
 
     ``build(rng, buf, m)`` builds the first h = ceil(m/2) paths of a block
     of m from normals drawn from ``rng``, in buffers taken from ``buf``, and
-    returns (x, log_disc): the paths x (m, k), whose last column is the log
-    of the payoff variable at maturity, and the log discount factor, per
-    path (m,) or common to all.  Paths pay
+    returns (x, log_disc, start): the drawn paths x (h, k) past their start,
+    whose last column is the log of the payoff variable at maturity, the
+    log discount factor, per path (m,) with its first h entries set or
+    common to all, and the start that every path shares.  Paths pay
     (e^{x_T} - strike)^+ * e^log_disc, times their bridge survival weight,
     and 0 where ``walls`` knocks them out on the grid; with no walls nothing
     is monitored.
@@ -282,9 +286,11 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
     Antithetic pairs by reflection: every builder is affine in its normals,
     so the path driven by the negated normals of path i is 2 x0 - x_i, where
     x0 is the path driven by zero normals.  ``build`` runs once on `_Zeros`,
-    in extended precision, for x0, and each block's row h + i becomes
-    2 x0 - row i, in x and in a per-path log discount (before its exp).
-    The unpaired row h - 1 of an odd block stays as built.
+    in extended precision, for x0.  Each block records the final points and
+    the monitor of its h drawn rows, then overwrites rows 0..m-h-1 with
+    2 x0 - row i, starting from 2 x0's start less the start, and records
+    them as rows h..m-1; a per-path log discount is reflected likewise
+    (before its exp).  The unpaired row h - 1 of an odd block stays as built.
 
     Float range: the block arithmetic runs with numpy's overflow and
     invalid-value warnings off, and a block whose payoff moments are not
@@ -304,26 +310,38 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
     with np.errstate(over="ignore", invalid="ignore"):
         # 2 x0; extended precision keeps the rounding of x0's cumulative
         # sums, about 1e-13 over 512 steps, from biasing every reflected row
-        twice = [np.asarray(2.0 * a[0], dtype=float) if np.ndim(a) else None
-                 for a in build(_Zeros(), _Buffers(1, n, np.longdouble), 1)]
+        x0, disc0, start0 = build(_Zeros(), _Buffers(1, n, np.longdouble), 1)
+        twice_x = np.asarray(2.0 * x0[0], dtype=float)
+        twice_disc = np.asarray(2.0 * disc0[0], dtype=float) if np.ndim(disc0) else None
+        twice_start = float(2.0 * start0)
 
     def run(block):
         index, m = block
         if not hasattr(local, "buf"):
             local.buf = _Buffers(rows, n)
+        buf = local.buf
         with np.errstate(over="ignore", invalid="ignore"):
-            x, log_disc = build(_block_rng(cfg.seed, index), local.buf, m)
+            x, log_disc, start = build(_block_rng(cfg.seed, index), buf, m)
             h = _drawn(m)
-            for paths, mirror in zip((x, log_disc), twice):
-                if mirror is not None:
-                    np.subtract(mirror, paths[:m - h], out=paths[h:])
+            x_final = buf.column("x_final", m)
+            knocked = None if walls is None else np.empty(m, bool)
+            weight = buf.column("weight", m) if walls is not None and walls.bridge else None
+
+            def record(rows, paths, start):  # final points, knock mask and weights
+                x_final[rows] = paths[:, -1]
+                if walls is not None:
+                    knocked[rows] = walls.knock(paths, start,
+                                                None if weight is None else weight[rows])
+            record(slice(0, h), x, start)
+            mirrored = x[:m - h]
+            np.subtract(twice_x, mirrored, out=mirrored)
+            if twice_disc is not None:
+                np.subtract(twice_disc, log_disc[:m - h], out=log_disc[h:])
+            record(slice(h, m), mirrored, twice_start - start)
             scale = np.exp(log_disc)
-            knocked = None
-            if walls is not None:
-                knocked, weight = walls.knock(x, local.buf, m)
-                if weight is not None:
-                    scale = np.multiply(weight, scale, out=weight)
-            stats = _payoff_stats(x[:, -1], strike, knocked, scale)
+            if weight is not None:
+                scale = np.multiply(weight, scale, out=weight)
+            stats = _payoff_stats(x_final, strike, knocked, scale)
         if not np.isfinite(stats).all():
             raise ValueError(f"the payoffs of block {index} are not finite (sum "
                              f"{float(stats[0])!r}): the simulated paths leave the float range")
@@ -349,14 +367,13 @@ def _ou_range_error(a: float, tau: float, growth: float, what: str) -> ValueErro
                       f"float range (exponent <= {_OU_RANGE:g})")
 
 
-def _ou_paths_into(r: np.ndarray, z: np.ndarray, r0: float, dt: float,
-                   p: VasicekParams) -> None:
-    """Fill r (m, n+1) with exact OU paths driven by the normals z (m, n).
+def _ou_paths_into(z: np.ndarray, r0: float, dt: float, p: VasicekParams) -> None:
+    """Turn the normals z (m, n) in place into exact OU paths r_1..r_n from r0.
 
     Uses r_j = theta + decay^j * (r0 - theta + shock * sum_{k<j} decay^{-k-1} z_k),
-    which turns the step recursion into one cumulative sum, done in z: z is
-    left holding scratch.  decay^{+-n} = e^{-+a tau} must stay in the float
-    range, so |a| tau past _OU_RANGE raises a ValueError naming a.
+    which turns the step recursion into one cumulative sum.
+    decay^{+-n} = e^{-+a tau} must stay in the float range, so |a| tau past
+    _OU_RANGE raises a ValueError naming a.
     """
     n = z.shape[1]
     if abs(p.a) * dt * n > _OU_RANGE:
@@ -366,8 +383,7 @@ def _ou_paths_into(r: np.ndarray, z: np.ndarray, r0: float, dt: float,
     np.multiply(z, decay**(-j), out=z)
     np.cumsum(z, axis=1, out=z)
     np.multiply(z, shock * decay**j, out=z)
-    r[:, 0] = r0
-    np.add(z, p.theta + decay**j * (r0 - p.theta), out=r[:, 1:])
+    np.add(z, p.theta + decay**j * (r0 - p.theta), out=z)
 
 
 def _bond_log_discount_weights(r0: float, tau: float, n: int,
@@ -392,6 +408,26 @@ def _bond_log_discount_weights(r0: float, tau: float, n: int,
     return const, s[::-1] * (-dt * shock)
 
 
+def _require_samplable(weights: np.ndarray, a: float, tau: float, what: str) -> None:
+    """Raise a ValueError naming a where no run can sample a path discount's mean.
+
+    A log discount const + weights . z of iid standard normals z is
+    N(const, s^2) with s^2 = weights . weights.  Half the mean of its exp is
+    carried by the paths past const + s^2, the centre of that law tilted by
+    e^{log discount}, and a share Phi(-s) of all paths lies there.  Where
+    that share is below one path in _MAX_PATHS, no run can sample them and
+    the estimate falls short by orders of magnitude (s^2 past about 28).
+    The bound takes the largest run, so that a run of one or two paths
+    still prices where a larger one could.
+    """
+    with np.errstate(over="ignore"):
+        spread = float(weights @ weights)
+    if _MAX_PATHS * 0.5 * math.erfc(math.sqrt(spread / 2.0)) < 1.0:
+        raise ValueError(f"a={a!r} over {tau:g} years: the log discount's variance "
+                         f"{spread:.4g} puts {what} where fewer than one path in "
+                         f"{_MAX_PATHS} falls")
+
+
 def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimate:
     """Estimate the bond price E[exp(-int_0^tau r dt)] by simulation.
 
@@ -400,23 +436,13 @@ def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimat
     path's is one weighted sum of its normals
     (`_bond_log_discount_weights`), and no rate path is built.  The bond is
     the block loop's payoff struck at zero on the log discount, a
-    one-column path, with no barrier.
-
-    The log discount is N(const, s^2) with s^2 = weights . weights.  Half
-    the bond is carried by the paths past const + s^2, the centre of that
-    law tilted by e^{log discount}, and a share Phi(-s) of all paths lies
-    there.  Where that share is below one path in _MAX_PATHS, no run can
-    sample them and the estimate falls short by orders of magnitude, so a
-    ValueError names a and s^2 instead (s^2 past about 28).
+    one-column path from 0, with no barrier.  A log discount so spread that
+    no run can sample the bond's mean raises a ValueError naming a
+    (`_require_samplable`).
     """
     n = _n_steps(cfg, tau)
     const, weights = _bond_log_discount_weights(r0, tau, n, p)
-    with np.errstate(over="ignore"):
-        spread = float(weights @ weights)
-    if _MAX_PATHS * 0.5 * math.erfc(math.sqrt(spread / 2.0)) < 1.0:
-        raise ValueError(f"a={p.a!r} over {tau:g} years: the log discount's variance "
-                         f"{spread:.4g} puts the bond's mean where fewer than one path in "
-                         f"{_MAX_PATHS} falls")
+    _require_samplable(weights, p.a, tau, "the bond's mean")
 
     def build(rng, buf, m):
         z, log_disc = buf.drawn("z", m), buf.column("log_disc", m)
@@ -424,30 +450,34 @@ def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimat
         drawn = log_disc[:z.shape[0]]
         np.einsum("ij,j->i", z, weights, out=drawn)  # BLAS-free: no thread pool of its own
         drawn += const
-        return log_disc[:, None], 0.0
+        return drawn[:, None], 0.0, 0.0
     return _simulate(cfg, n, build, 0.0)
 
 
-def _weigh_near_walls(x, gap, knocked, inv_v, w, dist, stay):
+def _weigh_near_walls(x, start, gap, knocked, inv_v, w, dist, stay):
     """Fill w with each path's bridge survival weight: 0 if knocked, else prod_j stay_j.
 
+    The paths run from ``start`` through the points of x.
     ``stay(left, right, inv_v)`` returns 1 - p_j of the steps it is given,
     as 1-D arrays.  It is called only on the steps near a wall.  A step
     whose endpoints lie at distances a, b from the nearer wall (``dist``)
     has every term of its crossing series at most exp(-2 a b / v); below
     exp(-_SCREEN) its 1 - p_j rounds to exactly 1.0, so it is skipped.
     Rows whose closest approach ``gap`` to a wall, over every point, is at
-    least sqrt(_SCREEN/2 * max v) hold no other step.  The other rows go
-    through in chunks of about _MONITOR_CHUNK elements; a row is never
-    split, so its factors and their product do not depend on the chunking.
+    least sqrt(_SCREEN/2 * max v) hold no other step.  The other rows are
+    copied, behind their start, in chunks of about _CHUNK elements; a row
+    is never split, so its factors and their product do not depend on the
+    chunking.
     """
     np.subtract(1.0, knocked, out=w)
     reach = math.sqrt(0.5 * _SCREEN / float(inv_v.min()))
     rows = np.flatnonzero(~knocked & (gap < reach))
-    per = max(1, _MONITOR_CHUNK // inv_v.size)
-    for start in range(0, rows.size, per):
-        chunk = rows[start:start + per]
-        near = x[chunk]
+    per = max(1, _CHUNK // inv_v.size)
+    for first in range(0, rows.size, per):
+        chunk = rows[first:first + per]
+        near = np.empty((chunk.size, inv_v.size + 1))
+        near[:, 0] = start
+        near[:, 1:] = x[chunk]
         a = dist(near)
         i, j = np.nonzero(a[:, :-1] * a[:, 1:] * inv_v < 0.5 * _SCREEN)
         if i.size:
@@ -457,14 +487,15 @@ def _weigh_near_walls(x, gap, knocked, inv_v, w, dist, stay):
             w[hit[starts]] *= np.multiply.reduceat(factors, starts)
 
 
-def _single_bridge_knockout(x, upper, inv_v, w):
+def _single_bridge_knockout(x, start, upper, inv_v, w):
     """Grid knock mask for an upper barrier; the bridge survival weights go to w.
 
+    The paths run from ``start`` through the points of x.
     w gets prod_j (1 - p_j) per path, where p_j = exp(-2 (B - x_j)(B - x_{j+1}) / v_j)
     is the Brownian-bridge crossing probability of step j, and 0 on the paths
     knocked out on the grid (`_weigh_near_walls`).
     """
-    top = x[:, 1:].max(axis=1)
+    top = x.max(axis=1)
     knocked = top >= upper
 
     def stay(left, right, iv):
@@ -472,7 +503,7 @@ def _single_bridge_knockout(x, upper, inv_v, w):
         np.clip(t, _EXP_FLOOR, 0.0, out=t)
         np.exp(t, out=t)
         return np.subtract(1.0, t, out=t)
-    _weigh_near_walls(x, upper - np.maximum(top, x[:, 0]), knocked, inv_v, w,
+    _weigh_near_walls(x, start, upper - np.maximum(top, start), knocked, inv_v, w,
                       lambda y: upper - y, stay)
     return knocked
 
@@ -534,24 +565,24 @@ def _corridor_stay_prob_into(acc, left, right, lower, upper, inv_v):
         acc[inv_v <= 1.0 / v_floor] = 0.0
 
 
-def _double_bridge_knockout(x, lower, upper, inv_v, w):
+def _double_bridge_knockout(x, start, lower, upper, inv_v, w):
     """Grid knock mask for a corridor; the bridge survival weights go to w.
 
+    The paths run from ``start`` through the points of x.
     w gets the product over steps of the corridor stay probability
     (`_corridor_stay_prob_into`), and 0 on the paths knocked out on the
     grid (`_weigh_near_walls`).
     """
-    bottom = x[:, 1:].min(axis=1)
-    top = x[:, 1:].max(axis=1)
+    bottom = x.min(axis=1)
+    top = x.max(axis=1)
     knocked = (bottom <= lower) | (top >= upper)
-    gap = np.minimum(np.minimum(bottom, x[:, 0]) - lower,
-                     upper - np.maximum(top, x[:, 0]))
+    gap = np.minimum(np.minimum(bottom, start) - lower, upper - np.maximum(top, start))
 
     def stay(left, right, iv):
         acc = np.empty_like(left)
         _corridor_stay_prob_into(acc, left, right, lower, upper, iv)
         return acc
-    _weigh_near_walls(x, gap, knocked, inv_v, w,
+    _weigh_near_walls(x, start, gap, knocked, inv_v, w,
                       lambda y: np.minimum(y - lower, upper - y), stay)
     return knocked
 
@@ -569,22 +600,20 @@ class _Walls:
     inv_v: np.ndarray
     bridge: bool
 
-    def knock(self, x, buf, m):
-        """(knocked, weights) of the m paths in x.
+    def knock(self, x, start, w):
+        """The mask of the paths from ``start`` through x knocked out on the grid.
 
-        ``knocked`` masks the paths knocked out on the grid; ``weights``
-        holds each path's bridge survival weight, or is None for discrete
-        monitoring.
+        For bridge monitoring, w gets each path's bridge survival weight;
+        for discrete monitoring w is None.
         """
         if not self.bridge:
-            knocked = x[:, 1:].max(axis=1) >= self.upper
+            knocked = x.max(axis=1) >= self.upper
             if self.lower > -math.inf:
-                knocked |= x[:, 1:].min(axis=1) <= self.lower
-            return knocked, None
-        w = buf.column("w", m)
+                knocked |= x.min(axis=1) <= self.lower
+            return knocked
         if self.lower == -math.inf:
-            return _single_bridge_knockout(x, self.upper, self.inv_v, w), w
-        return _double_bridge_knockout(x, self.lower, self.upper, self.inv_v, w), w
+            return _single_bridge_knockout(x, start, self.upper, self.inv_v, w)
+        return _double_bridge_knockout(x, start, self.lower, self.upper, self.inv_v, w)
 
 
 def _payoff_stats(x_final, strike, knocked, scale):
@@ -655,15 +684,13 @@ def price_barrier_mc(state: MarketState, spec: OptionSpec, p: VasicekParams,
         sd = np.sqrt(v)
 
         def build(rng, buf, m):
-            x, z = buf.paths(m)
-            rng.standard_normal(out=z)
-            h = z.shape[0]
-            np.multiply(z, sd, out=z)
-            np.subtract(z, 0.5 * v, out=z)  # z now holds the x-increments
-            z[:, 0] += x0  # so the cumulative sum starts from x0
-            np.cumsum(z, axis=1, out=x[:h, 1:])
-            x[:h, 0] = x0
-            return x, log_disc
+            x = buf.drawn("x", m)
+            rng.standard_normal(out=x)
+            np.multiply(x, sd, out=x)
+            np.subtract(x, 0.5 * v, out=x)  # x now holds the increments
+            x[:, 0] += x0  # so the cumulative sum starts from x0
+            np.cumsum(x, axis=1, out=x)
+            return x, log_disc, x0
         return build
     return _option_mc(state, spec, p, cfg, forward_paths)
 
@@ -678,47 +705,61 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
     barrier is monitored on the log forward ln(S_t / P(r_t, t; tau)), with
     the same per-step bridge correction as the forward-measure estimator
     (the forward's instantaneous variance is the same under both measures).
+
+    The rate normals rho Z1 + sqrt(1 - rho^2) Z2 are iid standard normals,
+    so the path's log discount has the bond's weights over the horizon; a
+    log discount so spread that no run can sample the price's mean raises
+    a ValueError naming a (`_require_samplable`).
     """
     def joint_paths(x0, grid, v):
         tau = spec.maturity
-        dt = (tau - state.time) / (len(grid) - 1)
+        n = len(grid) - 1
+        dt = (tau - state.time) / n
+        _require_samplable(_bond_log_discount_weights(state.rate, tau - state.time, n, p)[1],
+                           p.a, tau - state.time, "the price's mean")
         # log A (the log bond price at r = 0, so 0 at maturity) plus the Ito
         # drift s1^2/2 t of ln S, both taken off ln S + r B in one pass
         shift = _on_grid(lambda s: log_bond_price(0.0, s, tau, p), grid) \
-            + 0.5 * p.sigma1**2 * dt * np.arange(len(grid))
+            + 0.5 * p.sigma1**2 * dt * np.arange(n + 1)
         b_fac = _on_grid(lambda s: b_factor(s, tau, p.a), grid)
         rho_c = math.sqrt(1.0 - p.rho**2)
         log_s0 = math.log(state.spot)
 
         def build(rng, buf, m):
-            x, z1 = buf.paths(m)
-            z2, r = buf.drawn("z2", m), buf.drawn("r", m, 1)
-            rng.standard_normal(out=z1)
-            rng.standard_normal(out=z2)
-            h = z1.shape[0]
+            x, r = buf.drawn("x", m), buf.drawn("r", m)
+            rng.standard_normal(out=x)
+            rng.standard_normal(out=r)
             log_disc = buf.column("log_disc", m)
-            np.multiply(z2, rho_c, out=z2)
-            np.multiply(z1, p.rho, out=r[:, 1:])  # r is free until the OU paths
-            np.add(z2, r[:, 1:], out=z2)
-            _ou_paths_into(r, z2, state.rate, dt, p)
+            chunks, terms = buf.chunks("terms", m)
+            for rows in chunks:  # the rate normals rho Z1 + rho_c Z2, in r
+                t, rc = terms[:rows.stop - rows.start], r[rows]
+                np.multiply(x[rows], p.rho, out=t)
+                np.multiply(rc, rho_c, out=rc)
+                np.add(rc, t, out=rc)
+            _ou_paths_into(r, state.rate, dt, p)  # r now holds r_1..r_n
             # Euler log-stock increments: ((r_j + r_{j+1})/2 - s1^2/2) dt + s1 sqrt(dt) Z1,
             # the drift s1^2/2 dt left to `shift`; the path's log discount is
             # minus the sum of the same trapezoid rate terms, so the
             # discounted stock is an exact martingale
-            np.multiply(z1, p.sigma1 * math.sqrt(dt), out=z1)
-            np.add(r[:, :-1], r[:, 1:], out=z2)  # z2 is scratch after the OU paths
-            np.multiply(z2, 0.5 * dt, out=z2)
-            np.sum(z2, axis=1, out=log_disc[:h])
-            np.negative(log_disc[:h], out=log_disc[:h])
-            np.add(z1, z2, out=z1)
-            z1[:, 0] += log_s0  # so the cumulative sum starts from ln S0
-            np.cumsum(z1, axis=1, out=x[:h, 1:])
-            x[:h, 0] = log_s0
-            # switch x to the log forward: x = ln S - ln A + r B
-            np.multiply(r, b_fac, out=r)   # r now holds r*B; r itself is done with
-            x[:h] += r
-            x[:h] -= shift
+            for rows in chunks:
+                t, xc, rc = terms[:rows.stop - rows.start], x[rows], r[rows]
+                np.add(rc[:, 0], state.rate, out=t[:, 0])
+                np.add(rc[:, :-1], rc[:, 1:], out=t[:, 1:])
+                np.multiply(t, 0.5 * dt, out=t)
+                np.sum(t, axis=1, out=log_disc[rows])
+                np.negative(log_disc[rows], out=log_disc[rows])
+                np.multiply(xc, p.sigma1 * math.sqrt(dt), out=xc)
+                np.add(xc, t, out=xc)
+                xc[:, 0] += log_s0  # so the cumulative sum starts from ln S0
+                np.cumsum(xc, axis=1, out=xc)
+                # switch x to the log forward: x = ln S - ln A + r B
+                np.multiply(rc, b_fac[1:], out=rc)
+                np.add(xc, rc, out=xc)
+                np.subtract(xc, shift[1:], out=xc)
+            # every path's start ln S0 + r0 B(0) - shift_0, in the buffers'
+            # precision (extended for the zero-noise path)
+            start = buf.dtype(log_s0) + buf.dtype(state.rate) * b_fac[0] - shift[0]
             # at maturity B = 0 and shift holds only the drift, so x_T = ln S_T
-            return x, log_disc
+            return x, log_disc, start
         return build
     return _option_mc(state, spec, p, cfg, joint_paths)

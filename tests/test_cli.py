@@ -497,6 +497,18 @@ class TestVerifyCommand:
         failed = [line[6:48].strip() for line in out.splitlines() if line.startswith("FAIL")]
         assert failed == checks
 
+    def test_the_double_kernel_composition_sees_a_kernel_far_narrower_than_the_corridor(
+            self, capsys):
+        # at total variance 1e-12 the kernel is 1e-6 wide in a corridor 0.26
+        # wide: pairs drawn within 3 sd of each other and a window 12 sd past
+        # them compare kernels near their peak of 4e5, not 0 with 0
+        code, out, err = run(capsys, "verify", "--sigma1", "1e-6", "--sigma2", "0",
+                             "--paths", "256", "--steps", "8")
+        row = next(line for line in out.splitlines()
+                   if "chapman-kolmogorov (double kernel)" in line)
+        worst = float(row.split("max abs=")[1].split()[0])
+        assert 0.0 < worst < 1e-6 * 4e5, row
+
     def test_near_deterministic_model_reaches_every_check(self, capsys):
         # total variance 1e-18: the forward-measure estimates agree with the
         # closed form to rounding, and each oracle that cannot evaluate the
@@ -535,15 +547,20 @@ class TestVerifyCommand:
 
     def test_a_bond_no_run_can_sample_fails_its_own_row(self, capsys):
         # a = -1 over 5 years: the log discount has variance 968, so the bond
-        # MC gives up by name; the ODE row prints the 6.8e208 bonds in short
+        # MC and the two-factor MC, whose path discount has the bond's
+        # weights, give up by name; the ODE row prints the 6.8e208 bonds in short
         code, out, err = run(capsys, "verify", "--a=-1", "--maturity", "5", "--paths", "256",
                              "--steps", "8")
         lines = out.strip().splitlines()
         assert err == "" and code == 3 and len(lines) == 10
         failed = [line for line in lines if line.startswith("FAIL")]
-        assert len(failed) == 1 and failed[0].startswith(
-            "FAIL  bond vs monte carlo                        oracle cannot evaluate these "
-            "inputs: ValueError: a=-1.0 over 5 years: the log discount's variance 967.6 ")
+        assert len(failed) == 2
+        for line, (row, mean) in zip(failed, [("bond vs monte carlo", "the bond's mean"),
+                                              ("single barrier vs two-factor mc",
+                                               "the price's mean")]):
+            assert line.startswith(
+                f"FAIL  {row:42s} oracle cannot evaluate these inputs: ValueError: a=-1.0 "
+                f"over 5 years: the log discount's variance 967.6 puts {mean} where "), out
         assert "(analytic 6.813903316e+208, ode 6.81390332" in lines[1]
 
     def test_an_ode_bond_past_the_float_range_fails_its_own_check(self, capsys, monkeypatch):

@@ -124,6 +124,15 @@ class TestFloatRange:
                                              rf"discount's variance {spread} "):
             bond_mc(0.05, tau, self.model(a), MCConfig(256, 8, 1))
 
+    def test_a_path_discount_no_run_can_sample_names_a(self):
+        # the two-factor estimator's rate normals are iid standard normals, so
+        # its path discount is the bond's over the option's horizon; at a = -60
+        # the log forward overflows first, in production code
+        spec = OptionSpec.single_up(100.0, 5.0, B_UP)
+        with pytest.raises(ValueError, match=r"a=-1\.0 over 5 years: the log discount's "
+                                             r"variance 967\.6 puts the price's mean where"):
+            price_barrier_mc_two_factor(STATE, spec, self.model(-1.0), MCConfig(256, 8, 1))
+
     def test_negative_step_variance_names_a(self, monkeypatch):
         # integrated_variance no longer cancels below zero at small a (it once
         # gave -2.5 at a = 1e-6), so a cancelling one stands in for it
@@ -203,14 +212,15 @@ def test_grid_helper_equals_per_element_calls():
 
 
 class TestWorkingSet:
-    """Each worker keeps one path array and only the scratch its estimator needs."""
+    """Each worker keeps one array a drawn row and only the scratch its estimator needs."""
 
     # peak bytes traced for two 2048 x 512 blocks on one worker: the forward
-    # holds its paths (8.4 MB) with its normals inside them, the two-factor
-    # adds its second normals and its rates (4.2 MB each), the bond only its
-    # normals (4.2 MB); the rest is the monitor's chunks
-    PEAK_MB = {"forward-single": 12, "forward-corridor": 12, "two-factor-single": 20,
-               "two-factor-corridor": 20, "bond": 5}
+    # builds its 1024 drawn paths in its normals (4.2 MB), the two-factor
+    # builds them in its first normals and its rates in its second (4.2 MB
+    # each), the bond keeps only its normals (4.2 MB); the rest is the
+    # monitor's and the rate terms' chunks
+    PEAK_MB = {"forward-single": 8, "forward-corridor": 8, "two-factor-single": 13,
+               "two-factor-corridor": 13, "bond": 5}
 
     @pytest.mark.parametrize("estimator", sorted(PEAK_MB))
     def test_peak_traced_memory(self, estimator, monkeypatch):
@@ -236,20 +246,24 @@ class TestWorkingSet:
     @pytest.mark.parametrize("kind", ["single", "corridor"])
     def test_monitor_weights_do_not_depend_on_the_chunk_size(self, kind, monkeypatch):
         # one row per chunk, the default (512 of these 128-step rows), and the
-        # whole block as one chunk
+        # whole block as one chunk; the two-factor's rate terms go through
+        # the same chunks
         spec = TestBridgeScreen.SPECS[kind]
-        weights = []
+        weights, estimates = [], []
         # one worker, so the monitor records the blocks in block order
         monkeypatch.setattr(mc_oracle, "_workers", lambda n_blocks: 1)
-        for chunk in (1, mc_oracle._MONITOR_CHUNK, 1 << 30):
-            monkeypatch.setattr(mc_oracle, "_MONITOR_CHUNK", chunk)
+        cfg = MCConfig(mc_oracle._BLOCK + 77, 512, 7)
+        for chunk in (1, mc_oracle._CHUNK, 1 << 30):
+            monkeypatch.setattr(mc_oracle, "_CHUNK", chunk)
             blocks = record_monitor(monkeypatch)
-            price_barrier_mc(STATE, spec, REF, MCConfig(mc_oracle._BLOCK + 77, 512, 7))
+            price_barrier_mc(STATE, spec, REF, cfg)
             weights.append([w for *_, w, _ in blocks])
-        assert len(weights[0]) == 2
+            estimates.append(price_barrier_mc_two_factor(STATE, spec, REF, cfg))
+        assert len(weights[0]) == 2 * 2  # the drawn and the mirrored half of two blocks
         for w1, w_default, w_block in zip(*weights):
             assert np.array_equal(w1, w_default) and np.array_equal(w1, w_block)
             assert np.any((w1 > 0.0) & (w1 < 1.0))
+        assert estimates[0] == estimates[1] == estimates[2]
 
 
 class TestDeterminism:
@@ -389,14 +403,19 @@ def dense_weights(x, lower, upper, inv_v):
 
 
 def record_monitor(monkeypatch):
-    """Record (x, lower, upper, inv_v, weights, mask) of every bridge-monitored block."""
+    """Record (x, lower, upper, inv_v, weights, mask) of every bridge-monitored half block.
+
+    The monitor sees a block's drawn rows, then its mirrored rows, each
+    without their shared start; x puts that start back in front.
+    """
     blocks = []
     for name in ("_single_bridge_knockout", "_double_bridge_knockout"):
-        def recording(x, *args, monitor=getattr(mc_oracle, name)):
-            knocked = monitor(x, *args)
+        def recording(x, start, *args, monitor=getattr(mc_oracle, name)):
+            knocked = monitor(x, start, *args)
             *walls, inv_v, w = args
             lower, upper = walls if len(walls) == 2 else (-math.inf, walls[0])
-            blocks.append((x.copy(), lower, upper, inv_v, w.copy(), knocked.copy()))
+            paths = np.column_stack([np.full(x.shape[0], start), x])
+            blocks.append((paths, lower, upper, inv_v, w.copy(), knocked.copy()))
             return knocked
         monkeypatch.setattr(mc_oracle, name, recording)
     return blocks
@@ -419,7 +438,7 @@ class TestBridgeScreen:
             state = MarketState(spot=spot, rate=0.05)
             price_barrier_mc(state, spec, REF, cfg)
             price_barrier_mc_two_factor(state, spec, REF, cfg)
-        assert len(blocks) == 4 * 2 * 2
+        assert len(blocks) == 4 * 2 * 2 * 2  # spots, estimators, blocks, halves
         near_start = 0
         for x, lower, upper, inv_v, w, knocked in blocks:
             reach = math.sqrt(20.0 / inv_v.min())
@@ -429,24 +448,25 @@ class TestBridgeScreen:
             np.testing.assert_allclose(w, dense_weights(x, lower, upper, inv_v),
                                        rtol=1e-14, atol=0.0)
             assert np.any((w > 0.0) & (w < 1.0))  # some paths do pass near a wall
-        assert near_start >= 2 * 2
+        assert near_start >= 2 * 2 * 2
 
     @pytest.mark.parametrize("lower", [-math.inf, B_LOW])
     def test_a_start_near_a_wall_is_monitored(self, lower):
         # only the start lies within reach of the upper wall: the first step
         # still carries a crossing probability
         inv_v = np.full(4, 1e4)
-        x = np.full((2, 5), B_UP - 0.1)
-        x[0, 0] = B_UP - 1e-3
-        w = np.empty(2)
-        if lower == -math.inf:
-            knocked = mc_oracle._single_bridge_knockout(x, B_UP, inv_v, w)
-        else:
-            knocked = mc_oracle._double_bridge_knockout(x, lower, B_UP, inv_v, w)
-        assert not knocked.any()
-        assert w[0] < 1.0 and w[1] == 1.0
-        np.testing.assert_allclose(w, dense_weights(x, lower, B_UP, inv_v),
-                                   rtol=1e-14, atol=0.0)
+        x = np.full((2, 4), B_UP - 0.1)
+        w = np.empty((2, 2))
+        for row, start in enumerate((B_UP - 1e-3, B_UP - 0.1)):
+            if lower == -math.inf:
+                knocked = mc_oracle._single_bridge_knockout(x, start, B_UP, inv_v, w[row])
+            else:
+                knocked = mc_oracle._double_bridge_knockout(x, start, lower, B_UP, inv_v, w[row])
+            assert not knocked.any()
+            paths = np.column_stack([np.full(2, start), x])
+            np.testing.assert_allclose(w[row], dense_weights(paths, lower, B_UP, inv_v),
+                                       rtol=1e-14, atol=0.0)
+        assert np.all(w[0] < 1.0) and np.all(w[1] == 1.0)
 
 
 class TestCorridorStaySeries:
@@ -522,6 +542,9 @@ class TestMonitorContract:
 
             def standard_normal(self, *, out):
                 return np.multiply(next(self._normals), self._sign, out=out)
+
+        def copied(paths):
+            return tuple(np.array(a, copy=True) for a in paths)
         block_rng = mc_oracle._block_rng
         monkeypatch.setattr(mc_oracle, "_block_rng",
                             lambda seed, index: Recording(block_rng(seed, index), index))
@@ -529,14 +552,16 @@ class TestMonitorContract:
 
         def recording_simulate(cfg, n, build, *args):
             def recording_build(rng, buf, m):
-                built.append(build(rng, buf, m))
-                return built[-1]
+                out = build(rng, buf, m)
+                built.append((copied(out), out))  # the drawn rows, and the arrays
+                return out
             builds.append((build, n))
             return simulate(cfg, n, recording_build, *args)
 
-        def recording_stats(*args):  # the block's paths, after the mirroring
-            blocks.append(tuple(np.array(a, copy=True) for a in built[-1]))
-            return payoff_stats(*args)
+        def recording_stats(x_final, *args):  # the block's rows, after the mirroring
+            drawn, out = built[-1]
+            blocks.append((drawn, copied(out), x_final.copy()))
+            return payoff_stats(x_final, *args)
         monkeypatch.setattr(mc_oracle, "_simulate", recording_simulate)
         monkeypatch.setattr(mc_oracle, "_payoff_stats", recording_stats)
         monkeypatch.setattr(mc_oracle, "_workers", lambda n_blocks: 1)  # blocks in order
@@ -546,17 +571,23 @@ class TestMonitorContract:
         shapes = {index: [z.shape for z in normals] for index, normals in draws.items()}
         assert shapes == {0: [(mc_oracle._BLOCK // 2, 32)] * sets, 1: [(39, 32)] * sets}
         (build, n), = builds
-        assert [x.shape[0] for x, _ in blocks] == [mc_oracle._BLOCK, 77]
-        for index, (x, log_disc) in enumerate(blocks):
-            m, h = x.shape[0], (x.shape[0] + 1) // 2
+        assert [x_final.size for *_, x_final in blocks] == [mc_oracle._BLOCK, 77]
+        for index, (drawn, (x, log_disc, start), x_final) in enumerate(blocks):
+            m = x_final.size
+            h = (m + 1) // 2
             own = build(Replay(draws[index], 1.0), mc_oracle._Buffers(m, n), m)
             negated = build(Replay(draws[index], -1.0), mc_oracle._Buffers(m, n), m)
-            for got, drawn, mirror in zip((x, log_disc), own, negated):
-                if got.ndim == 0:  # a discount common to all paths
-                    assert got == drawn == mirror
-                    continue
-                assert np.array_equal(got[:h], drawn[:h])
-                np.testing.assert_allclose(got[h:], mirror[:m - h], rtol=1e-12, atol=0.0)
+            assert x.shape[0] == h and np.array_equal(drawn[0], own[0])
+            assert start == drawn[2] == own[2] == negated[2]  # the start draws no normals
+            # rows 0..m-h-1 now hold the mirrored paths, each recorded as row h + i
+            np.testing.assert_allclose(x[:m - h], negated[0][:m - h], rtol=1e-12, atol=0.0)
+            assert np.array_equal(x_final, np.concatenate([drawn[0][:, -1], x[:m - h, -1]]))
+            if log_disc.ndim == 0:  # a discount common to all paths
+                assert log_disc == drawn[1] == own[1] == negated[1]
+            else:
+                assert np.array_equal(log_disc[:h], own[1][:h])
+                np.testing.assert_allclose(log_disc[h:], negated[1][:m - h], rtol=1e-12,
+                                           atol=0.0)
             if m % 2:  # row h - 1 is built from its own normals and has no partner
                 assert m - h == h - 1
                 assert np.array_equal(x[h - 1], own[0][h - 1])
