@@ -210,8 +210,12 @@ def _parse_grid(text: str) -> tuple:
         raise ConfigError(f"grid: need at least 2 points, got {n}")
     if n > _MAX_GRID:
         raise ConfigError(f"grid: {n} points, past the limit of {_MAX_GRID}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid: MIN and MAX must be finite, got {text!r}")
     if not lo < hi:
         raise ConfigError(f"grid: need MIN < MAX, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"grid: the span MAX - MIN of {text!r} is past the float range")
     return lo, hi, n
 
 
@@ -425,20 +429,27 @@ def _composition_check(kernel, draw, lo: float, hi: float, split: float,
     swapped via the prefactor symmetry k(z, y) = e^{z-y} k(y, z), which
     keeps the vectorized argument in the x' slot; where e^{z-y} overflows,
     the quadrature raises on the non-finite integrand, with no numpy warning.
+    Where every kernel value and integral is exactly 0 (a kernel that
+    underflows), the row compares nothing and FAILs by that cause.
     """
     import numpy as np
 
     from . import quadrature
 
     reach = 12.0 * math.sqrt(total)
-    worst = 0.0
+    worst = largest = 0.0
     for _ in range(10):
         x, xp = draw()
         with np.errstate(over="ignore", invalid="ignore"):
             val, _ = quadrature.integrate(
                 lambda z: kernel(x, z, split) * kernel(xp, z, total - split) * np.exp(z - xp),
                 max(lo, min(x, xp) - reach), min(hi, max(x, xp) + reach))
-        worst = max(worst, abs(val - kernel(x, xp, total)))
+        direct = kernel(x, xp, total)
+        worst = max(worst, abs(val - direct))
+        largest = max(largest, abs(val), abs(direct))
+    if largest == 0.0:
+        return False, (f"every kernel value and integral is 0 over 10 pairs at v={total:.3g}: "
+                       f"the kernel underflows, so nothing is compared")
     return worst <= 1e-8, f"max abs={worst:.2e} over 10 pairs"
 
 

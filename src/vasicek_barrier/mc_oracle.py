@@ -17,18 +17,16 @@ pair with its path discount, or the bond's log discount.  The loop owns the rest
 the per-block streams, the buffers, the knock monitor (`_Walls.knock`), the
 payoff (`_payoff_stats`) and the reduction.
 
-Barrier monitoring is either ``discrete`` (grid points only) or
-``bridge_corrected``.  Both knock a path out when a grid point touches a
-wall.  The bridge correction then weights each surviving path's payoff by
-its survival probability between grid points, prod_j (1 - p_j) with p_j the
-Brownian-bridge crossing probability of step j; for the corridor, 1 - p_j is
-the reflection series (Glasserman 2004, §6.4) over images |k| <= 1 +
-sqrt(375 v)/L at the largest step variance v, beyond which every term
-underflows, and exactly 0 where the lowest eigenmode bounds it below 2^-57
-(`_corridor_stay_prob_into`).  This is unbiased, draws no uniforms and has
-a lower variance than knocking out with probability p_j.  p_j is evaluated
-only on steps near a wall (`_weigh_near_walls`); on every other step
-1 - p_j rounds to exactly 1.0.
+One bridge monitor serves both wall sets (`_bridge_knockout`); the
+up-and-out is the corridor with its lower wall at -inf.  It knocks a path
+out when a grid point touches a wall, and weights each surviving path's
+payoff by its survival probability between grid points, prod_j (1 - p_j)
+with p_j the Brownian-bridge crossing probability of step j.  1 - p_j is
+one reflection series (Glasserman 2004, §6.4, `_corridor_stay_prob_into`):
+1 - exp(-2 (u - x_j)(u - x_{j+1}) / v_j) for one wall.  This is unbiased,
+draws no uniforms and has a lower variance than knocking out with
+probability p_j.  p_j is evaluated only on steps near a wall; on every
+other step 1 - p_j rounds to exactly 1.0.
 
 Antithetic pairs: a block of m paths draws normals for its first
 h = ceil(m/2) paths only, and path h + i is the antithetic partner of path
@@ -83,9 +81,6 @@ import numpy as np
 from .model import VasicekParams, b_factor, integrated_variance, log_bond_price
 from .pricer import MarketState, OptionSpec, log_forward
 
-BRIDGE = "bridge_corrected"
-DISCRETE = "discrete"
-
 _BLOCK = 1 << 11
 # A bridge step is evaluated only where its crossing series can exceed
 # exp(-_SCREEN): exp(-40) < 2**-57, so elsewhere 1 - p rounds to exactly 1.0.
@@ -119,7 +114,7 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Simulation scale and monitoring mode.
+    """Simulation scale: paths, steps a year and seed.
 
     ``n_steps`` is a per-year resolution: a horizon of tau years uses
     ceil(tau * n_steps) uniform steps.
@@ -128,7 +123,6 @@ class MCConfig:
     n_paths: int = 1_000_000
     n_steps: int = 512
     seed: int = 0
-    monitoring: str = BRIDGE
 
     def __post_init__(self):
         for name in ("n_paths", "n_steps", "seed"):
@@ -141,8 +135,6 @@ class MCConfig:
             raise ValueError(f"paths: {self.n_paths} paths a run, past the limit of {_MAX_PATHS}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
-        if self.monitoring not in (BRIDGE, DISCRETE):
-            raise ValueError(f"unknown monitoring mode: {self.monitoring!r}")
 
 
 @dataclass(frozen=True)
@@ -279,9 +271,9 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
     whose last column is the log of the payoff variable at maturity, the
     log discount factor, per path (m,) with its first h entries set or
     common to all, and the start that every path shares.  Paths pay
-    (e^{x_T} - strike)^+ * e^log_disc, times their bridge survival weight,
-    and 0 where ``walls`` knocks them out on the grid; with no walls nothing
-    is monitored.
+    (e^{x_T} - strike)^+ * e^log_disc, times the bridge survival weight that
+    ``walls`` gives them, and 0 where ``walls`` knocks them out on the grid;
+    with no walls (the bond) nothing is monitored.
 
     Antithetic pairs by reflection: every builder is affine in its normals,
     so the path driven by the negated normals of path i is 2 x0 - x_i, where
@@ -325,13 +317,12 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
             h = _drawn(m)
             x_final = buf.column("x_final", m)
             knocked = None if walls is None else np.empty(m, bool)
-            weight = buf.column("weight", m) if walls is not None and walls.bridge else None
+            weight = None if walls is None else buf.column("weight", m)
 
             def record(rows, paths, start):  # final points, knock mask and weights
                 x_final[rows] = paths[:, -1]
                 if walls is not None:
-                    knocked[rows] = walls.knock(paths, start,
-                                                None if weight is None else weight[rows])
+                    knocked[rows] = walls.knock(paths, start, weight[rows])
             record(slice(0, h), x, start)
             mirrored = x[:m - h]
             np.subtract(twice_x, mirrored, out=mirrored)
@@ -454,76 +445,25 @@ def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimat
     return _simulate(cfg, n, build, 0.0)
 
 
-def _weigh_near_walls(x, start, gap, knocked, inv_v, w, dist, stay):
-    """Fill w with each path's bridge survival weight: 0 if knocked, else prod_j stay_j.
-
-    The paths run from ``start`` through the points of x.
-    ``stay(left, right, inv_v)`` returns 1 - p_j of the steps it is given,
-    as 1-D arrays.  It is called only on the steps near a wall.  A step
-    whose endpoints lie at distances a, b from the nearer wall (``dist``)
-    has every term of its crossing series at most exp(-2 a b / v); below
-    exp(-_SCREEN) its 1 - p_j rounds to exactly 1.0, so it is skipped.
-    Rows whose closest approach ``gap`` to a wall, over every point, is at
-    least sqrt(_SCREEN/2 * max v) hold no other step.  The other rows are
-    copied, behind their start, in chunks of about _CHUNK elements; a row
-    is never split, so its factors and their product do not depend on the
-    chunking.
-    """
-    np.subtract(1.0, knocked, out=w)
-    reach = math.sqrt(0.5 * _SCREEN / float(inv_v.min()))
-    rows = np.flatnonzero(~knocked & (gap < reach))
-    per = max(1, _CHUNK // inv_v.size)
-    for first in range(0, rows.size, per):
-        chunk = rows[first:first + per]
-        near = np.empty((chunk.size, inv_v.size + 1))
-        near[:, 0] = start
-        near[:, 1:] = x[chunk]
-        a = dist(near)
-        i, j = np.nonzero(a[:, :-1] * a[:, 1:] * inv_v < 0.5 * _SCREEN)
-        if i.size:
-            factors = stay(near[i, j], near[i, j + 1], inv_v[j])
-            hit = chunk[i]  # one entry per step, in row order
-            starts = np.flatnonzero(np.concatenate(([True], hit[1:] != hit[:-1])))
-            w[hit[starts]] *= np.multiply.reduceat(factors, starts)
-
-
-def _single_bridge_knockout(x, start, upper, inv_v, w):
-    """Grid knock mask for an upper barrier; the bridge survival weights go to w.
-
-    The paths run from ``start`` through the points of x.
-    w gets prod_j (1 - p_j) per path, where p_j = exp(-2 (B - x_j)(B - x_{j+1}) / v_j)
-    is the Brownian-bridge crossing probability of step j, and 0 on the paths
-    knocked out on the grid (`_weigh_near_walls`).
-    """
-    top = x.max(axis=1)
-    knocked = top >= upper
-
-    def stay(left, right, iv):
-        t = (upper - left) * (upper - right) * (-2.0 * iv)
-        np.clip(t, _EXP_FLOOR, 0.0, out=t)
-        np.exp(t, out=t)
-        return np.subtract(1.0, t, out=t)
-    _weigh_near_walls(x, start, upper - np.maximum(top, start), knocked, inv_v, w,
-                      lambda y: upper - y, stay)
-    return knocked
-
-
 def _corridor_stay_prob_into(acc, left, right, lower, upper, inv_v):
-    """Fill acc with the bridge stay probabilities of steps inside a corridor.
+    """Fill acc with the bridge stay probabilities of steps between the walls.
 
     The steps run from ``left`` to ``right`` with reciprocal variances
-    ``inv_v``, all 1-D.  Reflection series over images |k| <= K:
-    sum_k exp(-2 kL (kL + d)/v) - exp(-2 (kL + a)(kL + b)/v) with
-    a, b the endpoint distances to the lower wall and d = b - a the step
-    increment.  For endpoints inside the corridor both exponents of image k
-    are at most -2 (|k| - 1)^2 L^2 / v, so every term beyond
-    K = 1 + floor(sqrt(375 v) / L), at the largest v of the steps, lies
-    below exp(-750) and is skipped without changing the float64 sum.
+    ``inv_v``, all 1-D.  With p, q the endpoint distances to the upper
+    wall, a, b those to the lower, d = b - a and L the width, the series is
+        1 - R_u(0) - R_l(0) + sum_{j=1..K} A(+j) + A(-j) - R_u(j) - R_l(j),
+    A(+-j) = exp(-2 jL (jL +- d)/v), R_u(j) = exp(-2 (p + jL)(q + jL)/v)
+    and R_l(j) likewise from a, b, built from wall-relative offsets as
+    `kernels._absorbed` builds the kernel.  Lower = -inf leaves the one-wall
+    factor 1 - R_u(0): no lower reflection, no pair and no floor.  Inside a
+    corridor every exponent of group j is at most -2 (j - 1)^2 L^2 / v, so
+    the groups beyond K = 1 + floor(sqrt(375 v) / L), at the largest v of
+    the steps, lie below exp(-750) and are skipped.
 
-    A step whose stay probability is provably below 2^-57 gets exactly 0,
-    as `_weigh_near_walls` gives a step far from both walls exactly 1.  The
-    stay probability is the corridor heat kernel over the free one.  With
-    c = pi^2 v / (2 L^2), |d| <= L and
+    A corridor step whose stay probability is provably below 2^-57 gets
+    exactly 0, as `_bridge_knockout` gives a step far from both walls
+    exactly 1.  The stay probability is the corridor heat kernel over the
+    free one.  With c = pi^2 v / (2 L^2), |d| <= L and
     sum_{n>=1} exp(-n^2 c) <= exp(-c) / (1 - exp(-3c)), the lowest
     eigenmode bounds it by
         4 sqrt(c / pi) exp(pi^2 / (4c) - c) / (1 - exp(-3c)),
@@ -534,62 +474,96 @@ def _corridor_stay_prob_into(acc, left, right, lower, upper, inv_v):
     Exponents are clipped at zero; the result is meaningful only where both
     endpoints lie inside (outside steps are handled by the grid check).
     """
-    width = upper - lower
-    v_floor = 2.0 * _FLOOR_MODE * width * width / np.pi**2
-    vmax = 1.0 / float(np.min(inv_v))
-    images = 1 + int(math.sqrt(-0.5 * _EXP_UNDERFLOW * min(vmax, v_floor)) / width)
-    d = right - left
-    t, t2 = np.empty_like(acc), np.empty_like(acc)
-    acc.fill(0.0)
-    for k in range(-images, images + 1):
-        kl = k * width
-        if k == 0:
-            acc += 1.0
-        else:
-            np.add(d, kl, out=t)
-            np.multiply(t, inv_v, out=t)
-            np.multiply(t, -2.0 * kl, out=t)
-            np.clip(t, _EXP_FLOOR, 0.0, out=t)
-            np.exp(t, out=t)
-            np.add(acc, t, out=acc)
-        np.add(left, kl - lower, out=t)
-        np.add(right, kl - lower, out=t2)
-        np.multiply(t, t2, out=t)
+    t = np.empty_like(acc)
+
+    def decay(p, q):  # exp(-2 p q / v), the exponent clipped to [_EXP_FLOOR, 0]
+        np.multiply(p, q, out=t)
         np.multiply(t, inv_v, out=t)
         np.multiply(t, -2.0, out=t)
         np.clip(t, _EXP_FLOOR, 0.0, out=t)
-        np.exp(t, out=t)
-        np.subtract(acc, t, out=acc)
+        return np.exp(t, out=t)
+    to_up, to_up2 = upper - left, upper - right
+    np.subtract(1.0, decay(to_up, to_up2), out=acc)
+    if lower == -math.inf:
+        return
+    width = upper - lower
+    v_floor = 2.0 * _FLOOR_MODE * width * width / np.pi**2
+    vmax = 1.0 / float(np.min(inv_v))
+    groups = 1 + int(math.sqrt(-0.5 * _EXP_UNDERFLOW * min(vmax, v_floor)) / width)
+    to_lo, to_lo2 = left - lower, right - lower
+    acc -= decay(to_lo, to_lo2)
+    d = right - left
+    for j in range(1, groups + 1):
+        shift = j * width
+        acc += decay(shift, shift + d)
+        acc += decay(shift, shift - d)
+        acc -= decay(to_up + shift, to_up2 + shift)
+        acc -= decay(to_lo + shift, to_lo2 + shift)
     np.clip(acc, 0.0, 1.0, out=acc)
     if vmax >= v_floor:
         acc[inv_v <= 1.0 / v_floor] = 0.0
 
 
-def _double_bridge_knockout(x, start, lower, upper, inv_v, w):
-    """Grid knock mask for a corridor; the bridge survival weights go to w.
+def _bridge_knockout(x, start, lower, upper, inv_v, w):
+    """Grid knock mask for the walls lower < upper; the bridge survival weights go to w.
 
-    The paths run from ``start`` through the points of x.
-    w gets the product over steps of the corridor stay probability
-    (`_corridor_stay_prob_into`), and 0 on the paths knocked out on the
-    grid (`_weigh_near_walls`).
+    The paths run from ``start`` through the points of x; lower = -inf is
+    the up-and-out, and its lower wall costs nothing.  w gets 0 on the paths
+    knocked out on the grid, and prod_j (1 - p_j) on the others, with 1 - p_j
+    the stay probability of step j (`_corridor_stay_prob_into`).  That is
+    evaluated only on the steps near a wall.  A step whose endpoints lie at
+    distances a, b from the nearer wall has every term of its crossing
+    series at most exp(-2 a b / v); below exp(-_SCREEN) its 1 - p_j rounds
+    to exactly 1.0, so it is skipped.  Rows whose closest approach to a
+    wall, over every point and the start, is at least
+    sqrt(_SCREEN/2 * max v) hold no other step.  The other rows are copied,
+    behind their start, in chunks of about _CHUNK elements; a row is never
+    split, so its factors and their product do not depend on the chunking.
     """
-    bottom = x.min(axis=1)
     top = x.max(axis=1)
-    knocked = (bottom <= lower) | (top >= upper)
-    gap = np.minimum(np.minimum(bottom, start) - lower, upper - np.maximum(top, start))
-
-    def stay(left, right, iv):
-        acc = np.empty_like(left)
-        _corridor_stay_prob_into(acc, left, right, lower, upper, iv)
-        return acc
-    _weigh_near_walls(x, start, gap, knocked, inv_v, w,
-                      lambda y: np.minimum(y - lower, upper - y), stay)
+    knocked = top >= upper
+    gap = upper - np.maximum(top, start)
+    one_wall = lower == -math.inf
+    if not one_wall:
+        bottom = x.min(axis=1)
+        knocked |= bottom <= lower
+        np.minimum(np.minimum(bottom, start) - lower, gap, out=gap)
+    np.subtract(1.0, knocked, out=w)
+    reach = math.sqrt(0.5 * _SCREEN / float(inv_v.min()))
+    rows = np.flatnonzero(~knocked & (gap < reach))
+    per = max(1, _CHUNK // inv_v.size)
+    for first in range(0, rows.size, per):
+        chunk = rows[first:first + per]
+        near = np.empty((chunk.size, inv_v.size + 1))
+        near[:, 0] = start
+        near[:, 1:] = x[chunk]
+        a = upper - near  # each point's distance to the nearer wall
+        if not one_wall:
+            np.minimum(near - lower, a, out=a)
+        i, j = np.nonzero(a[:, :-1] * a[:, 1:] * inv_v < 0.5 * _SCREEN)
+        if i.size:
+            factors = np.empty(i.size)
+            _corridor_stay_prob_into(factors, near[i, j], near[i, j + 1], lower, upper,
+                                     inv_v[j])
+            hit = chunk[i]  # one entry per step, in row order
+            starts = np.flatnonzero(np.concatenate(([True], hit[1:] != hit[:-1])))
+            w[hit[starts]] *= np.multiply.reduceat(factors, starts)
     return knocked
+
+
+def _single_bridge_knockout(x, start, upper, inv_v, w):
+    """`_bridge_knockout` for an upper wall alone."""
+    return _bridge_knockout(x, start, -math.inf, upper, inv_v, w)
+
+
+def _double_bridge_knockout(x, start, lower, upper, inv_v, w):
+    """`_bridge_knockout` for a corridor."""
+    return _bridge_knockout(x, start, lower, upper, inv_v, w)
 
 
 @dataclass(frozen=True)
 class _Walls:
-    """Knock-out walls on the log forward, and the one monitor that applies them.
+    """Knock-out walls on the log forward, and the bridge monitor that applies them.
 
     ``lower`` is -inf for the up-and-out; ``inv_v`` holds the reciprocal
     per-step forward variances of the grid.
@@ -598,19 +572,10 @@ class _Walls:
     lower: float
     upper: float
     inv_v: np.ndarray
-    bridge: bool
 
     def knock(self, x, start, w):
-        """The mask of the paths from ``start`` through x knocked out on the grid.
-
-        For bridge monitoring, w gets each path's bridge survival weight;
-        for discrete monitoring w is None.
-        """
-        if not self.bridge:
-            knocked = x.max(axis=1) >= self.upper
-            if self.lower > -math.inf:
-                knocked |= x.min(axis=1) <= self.lower
-            return knocked
+        """The mask of the paths from ``start`` through x knocked out on the
+        grid; w gets each path's bridge survival weight."""
         if self.lower == -math.inf:
             return _single_bridge_knockout(x, start, self.upper, self.inv_v, w)
         return _double_bridge_knockout(x, start, self.lower, self.upper, self.inv_v, w)
@@ -665,7 +630,7 @@ def _option_mc(state: MarketState, spec: OptionSpec, p: VasicekParams, cfg: MCCo
     if not np.all(v >= 0.0):
         raise ValueError(f"a={p.a!r}: integrated_variance gives a step variance of "
                          f"{v.min():.3g} on the {n}-step grid, below 0")
-    walls = _Walls(lower, upper, 1.0 / v, cfg.monitoring == BRIDGE)
+    walls = _Walls(lower, upper, 1.0 / v)
     return _simulate(cfg, n, paths(x0, grid, v), spec.strike, walls)
 
 

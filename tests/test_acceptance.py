@@ -55,8 +55,7 @@ def test_constant_rate_reduction():
 
 def test_mc_agreement_single_barrier():
     t0 = time.time()
-    cfg = MCConfig(n_paths=1_000_000, n_steps=512, seed=SEED,
-                   monitoring="bridge_corrected")
+    cfg = MCConfig(n_paths=1_000_000, n_steps=512, seed=SEED)
     worst = 0.0
     details = []
     for s in (90.0, 100.0, 110.0, 120.0):
@@ -74,8 +73,7 @@ def test_mc_agreement_single_barrier():
 
 def test_mc_agreement_double_barrier():
     t0 = time.time()
-    cfg = MCConfig(n_paths=1_000_000, n_steps=512, seed=SEED,
-                   monitoring="bridge_corrected")
+    cfg = MCConfig(n_paths=1_000_000, n_steps=512, seed=SEED)
     state = MarketState(spot=110.0, rate=0.05)
     ana = price_double_barrier(state, CORRIDOR, REF).price
     fwd = price_barrier_mc(state, CORRIDOR, REF, cfg)

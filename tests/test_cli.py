@@ -337,6 +337,13 @@ class TestCurveCommand:
         assert code == 1 and "grid" in err
         code, _, err = run(capsys, "curve", "--grid", "100:110:1")
         assert code == 1 and "grid" in err
+        # a non-finite end once priced nan and inf rows, and a span past the
+        # float range once failed the library's grid check
+        for grid, message in [("80:inf:5", "must be finite"), ("nan:100:5", "must be finite"),
+                              ("-1e308:1e308:3", "past the float range")]:
+            code, out, err = run(capsys, "curve", f"--grid={grid}")
+            assert (code, out) == (1, "")
+            assert err.startswith("error: grid: ") and message in err
 
     def test_grid_past_the_limit_is_named_before_allocating(self, capsys):
         # 10^11 spots once ended in a numpy MemoryError traceback
@@ -548,19 +555,23 @@ class TestVerifyCommand:
     def test_a_bond_no_run_can_sample_fails_its_own_row(self, capsys):
         # a = -1 over 5 years: the log discount has variance 968, so the bond
         # MC and the two-factor MC, whose path discount has the bond's
-        # weights, give up by name; the ODE row prints the 6.8e208 bonds in short
+        # weights, give up by name; the ODE row prints the 6.8e208 bonds in
+        # short.  At that variance the corridor kernel underflows to 0, so
+        # its composition row compares nothing and says so
         code, out, err = run(capsys, "verify", "--a=-1", "--maturity", "5", "--paths", "256",
                              "--steps", "8")
         lines = out.strip().splitlines()
         assert err == "" and code == 3 and len(lines) == 10
         failed = [line for line in lines if line.startswith("FAIL")]
-        assert len(failed) == 2
+        assert len(failed) == 3
         for line, (row, mean) in zip(failed, [("bond vs monte carlo", "the bond's mean"),
                                               ("single barrier vs two-factor mc",
                                                "the price's mean")]):
             assert line.startswith(
                 f"FAIL  {row:42s} oracle cannot evaluate these inputs: ValueError: a=-1.0 "
                 f"over 5 years: the log discount's variance 967.6 puts {mean} where "), out
+        assert failed[2].startswith(f"FAIL  {'chapman-kolmogorov (double kernel)':42s} every "
+                                    f"kernel value and integral is 0 over 10 pairs at v=978")
         assert "(analytic 6.813903316e+208, ode 6.81390332" in lines[1]
 
     def test_an_ode_bond_past_the_float_range_fails_its_own_check(self, capsys, monkeypatch):

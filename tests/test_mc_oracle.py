@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -40,8 +41,6 @@ class TestConfig:
             MCConfig(n_paths=0)
         with pytest.raises(ValueError):
             MCConfig(n_steps=0)
-        with pytest.raises(ValueError):
-            MCConfig(monitoring="exact")
         # scales and seed must be ints, not bools; the error names the field
         for field, bad in [("n_paths", math.nan), ("n_paths", True), ("n_paths", 1.5),
                            ("n_paths", 1000.0), ("n_paths", -3), ("n_steps", False),
@@ -49,6 +48,10 @@ class TestConfig:
                            ("seed", None), ("seed", True)]:
             with pytest.raises(ValueError, match=field):
                 MCConfig(**{field: bad})
+
+    def test_scale_and_seed_are_the_only_fields(self):
+        # the barrier is always monitored by the bridge correction
+        assert [f.name for f in dataclasses.fields(MCConfig)] == ["n_paths", "n_steps", "seed"]
 
     def test_steps_are_per_year(self):
         spec = OptionSpec.single_up(100.0, 0.5, B_UP)
@@ -283,13 +286,10 @@ class TestDeterminism:
         assert est1 == est2
 
     @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
-    @pytest.mark.parametrize("monitoring", ["bridge_corrected", "discrete"])
-    def test_thread_count_leaves_the_estimate_bit_identical(self, estimator, monitoring,
-                                                             monkeypatch):
+    def test_thread_count_leaves_the_estimate_bit_identical(self, estimator, monkeypatch):
         # five full blocks and a partial one, on 1 thread and on 3 (more than
         # the cores of a small machine), with frequent thread switches
-        cfg = MCConfig(n_paths=5 * mc_oracle._BLOCK + 77, n_steps=16, seed=41,
-                       monitoring=monitoring)
+        cfg = MCConfig(n_paths=5 * mc_oracle._BLOCK + 77, n_steps=16, seed=41)
         monkeypatch.setattr(mc_oracle, "_workers", lambda n_blocks: 1)
         estimate = ESTIMATORS[estimator]
         serial = estimate(cfg)
@@ -341,24 +341,6 @@ class TestForwardMeasureMC:
 
 
 class TestMonitoring:
-    def test_bridge_never_exceeds_discrete_same_seed(self):
-        for spec in (SINGLE, CORRIDOR):
-            d = price_barrier_mc(STATE, spec, REF, MCConfig(100_000, 128, 5, "discrete"))
-            b = price_barrier_mc(STATE, spec, REF, MCConfig(100_000, 128, 5,
-                                                            "bridge_corrected"))
-            assert b.mean <= d.mean
-
-    def test_discrete_estimates_converge_downward_to_bridge(self):
-        bridge = price_barrier_mc(STATE, SINGLE, REF, MCConfig(50_000, 4000, 13))
-        discrete = [price_barrier_mc(STATE, SINGLE, REF,
-                                     MCConfig(50_000, n, 13, "discrete"))
-                    for n in (250, 1000, 4000)]
-        means = [e.mean for e in discrete]
-        assert means[0] > means[1] > means[2]
-        # discrete monitoring misses crossings, so it stays above the
-        # continuously corrected estimate
-        assert means[2] >= bridge.mean - discrete[2].std_error
-
     def test_lowering_barrier_never_unknocks(self):
         cfg = MCConfig(50_000, 128, 19)
         means = [price_barrier_mc(
@@ -450,23 +432,23 @@ class TestBridgeScreen:
             assert np.any((w > 0.0) & (w < 1.0))  # some paths do pass near a wall
         assert near_start >= 2 * 2 * 2
 
-    @pytest.mark.parametrize("lower", [-math.inf, B_LOW])
+    @pytest.mark.parametrize("lower", [-math.inf, B_LOW, B_UP - 1.0])
     def test_a_start_near_a_wall_is_monitored(self, lower):
         # only the start lies within reach of the upper wall: the first step
-        # still carries a crossing probability
+        # still carries a crossing probability.  The lower wall, where there
+        # is one, lies out of reach, so the weights are the up-and-out's
         inv_v = np.full(4, 1e4)
         x = np.full((2, 4), B_UP - 0.1)
-        w = np.empty((2, 2))
+        w, one_wall = np.empty((2, 2)), np.empty((2, 2))
         for row, start in enumerate((B_UP - 1e-3, B_UP - 0.1)):
-            if lower == -math.inf:
-                knocked = mc_oracle._single_bridge_knockout(x, start, B_UP, inv_v, w[row])
-            else:
-                knocked = mc_oracle._double_bridge_knockout(x, start, lower, B_UP, inv_v, w[row])
-            assert not knocked.any()
+            assert not mc_oracle._bridge_knockout(x, start, lower, B_UP, inv_v, w[row]).any()
+            assert not mc_oracle._single_bridge_knockout(x, start, B_UP, inv_v,
+                                                         one_wall[row]).any()
             paths = np.column_stack([np.full(2, start), x])
             np.testing.assert_allclose(w[row], dense_weights(paths, lower, B_UP, inv_v),
                                        rtol=1e-14, atol=0.0)
         assert np.all(w[0] < 1.0) and np.all(w[1] == 1.0)
+        np.testing.assert_allclose(w, one_wall, rtol=1e-15, atol=0.0)
 
 
 class TestCorridorStaySeries:
@@ -486,6 +468,18 @@ class TestCorridorStaySeries:
         mc_oracle._corridor_stay_prob_into(acc, np.array([a]), np.array([b]), 0.0, 1.0,
                                            np.array([1.0 / v]))
         assert acc[0] == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("a, b, v", CASES + [(0.999, 0.9995, 1e-6), (0.3, 0.7, 1e-4)])
+    def test_one_wall_is_the_single_reflection(self, a, b, v):
+        # lower = -inf: no lower reflection, no image pair and no floor, so
+        # the series is the up-and-out's factor to the last bit, here against
+        # the wall at 1, with the exponent floored where it would underflow
+        left, right = np.array([a, b, 1.0 - 1e-12]), np.array([b, a, 0.5])
+        inv_v = np.full(3, 1.0 / v)
+        acc = np.empty(3)
+        mc_oracle._corridor_stay_prob_into(acc, left, right, -math.inf, 1.0, inv_v)
+        want = 1.0 - np.exp(np.clip((1.0 - left) * (1.0 - right) * (-2.0 * inv_v), -700.0, 0.0))
+        assert np.array_equal(acc, want)
 
     def test_a_step_far_wider_than_the_corridor_stays_below_2_to_the_minus_57(self):
         # v / L^2 = 28: each stay probability is below 3e-59, which images
