@@ -10,17 +10,17 @@ number it produces.
 
 Importing the package loads the production core (`model`, `pricer`) and the
 standard library only.  The numpy-backed oracles (`kernels`, `quadrature`,
-`quad_oracle`, `mc_oracle`) and their names load on first use (PEP 562).
+`quad_oracle`, `mc_oracle`) and their names load on first use (PEP 562);
+the deterministic references (the ODE bond, the variance rate, the
+constant-rate and vanilla calls) are `quad_oracle`'s.
 """
 
 import importlib
 
-from .model import (VasicekParams, b_factor, bond_price, bond_price_from_ode,
-                    effective_vol_sq, integrated_variance, log_bond_price)
+from .model import VasicekParams, b_factor, bond_price, integrated_variance, log_bond_price
 from .pricer import (MarketState, OptionSpec, PriceCurve, PriceResult,
                      knockout_call_forward, log_forward, price, price_curve,
-                     price_double_barrier, price_single_barrier,
-                     up_and_out_call_constant_rate, vanilla_call_forward)
+                     price_double_barrier, price_single_barrier)
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,8 @@ _LAZY = {
     "kernels": ("barrier_kernel", "double_barrier_kernel", "free_kernel", "series_terms"),
     "mc_oracle": ("MCConfig", "MCEstimate", "bond_mc", "price_barrier_mc",
                   "price_barrier_mc_two_factor"),
-    "quad_oracle": ("price_by_quadrature",),
+    "quad_oracle": ("bond_price_from_ode", "effective_vol_sq", "price_by_quadrature",
+                    "up_and_out_call_constant_rate", "vanilla_call_forward"),
     "quadrature": ("QuadratureError", "integrate"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

@@ -216,6 +216,12 @@ def _parse_grid(text: str) -> tuple:
         raise ConfigError(f"grid: need MIN < MAX, got {text!r}")
     if not math.isfinite(hi - lo):
         raise ConfigError(f"grid: the span MAX - MIN of {text!r} is past the float range")
+    # the spots as np.linspace makes them: MIN + i * step, then MAX
+    step = (hi - lo) / (n - 1)
+    spots = [lo + i * step for i in range(n - 1)] + [hi]
+    if not all(s < t for s, t in zip(spots, spots[1:])):
+        raise ConfigError(f"grid: the {n} points of {text!r} are not strictly increasing: "
+                          f"the span is too narrow for {n} distinct floats")
     return lo, hi, n
 
 
@@ -508,7 +514,7 @@ def _verify_checks(cfg: JobConfig):
         ("bond vs monte carlo",
          lambda: _mc_check(bond, mc_oracle.bond_mc(p.r0, tau, p, mc_cfg), 1.0)),
         ("bond vs ode solution",
-         lambda: _bond_ode_check(bond, model.bond_price_from_ode(p.r0, 0.0, tau, p))),
+         lambda: _bond_ode_check(bond, quad_oracle.bond_price_from_ode(p.r0, 0.0, tau, p))),
         ("single barrier vs forward-measure mc",
          lambda: _mc_check(ana_s, mc_oracle.price_barrier_mc(state, single, p, mc_cfg),
                            cap_single)),
@@ -521,7 +527,7 @@ def _verify_checks(cfg: JobConfig):
         ("constant-rate closed-form reduction",
          lambda: _rel_check(
              [pricer.price_single_barrier(st, single, const).price for st in spot_states],
-             [pricer.up_and_out_call_constant_rate(
+             [quad_oracle.up_and_out_call_constant_rate(
                  s / disc, strike, math.exp(barrier), p.r0, p.sigma1, tau,
                  dividend_yield=p.r0) for s in _VERIFY_SPOTS],
              "6 spots; holds the production image sum, the bond and the variance mapping "

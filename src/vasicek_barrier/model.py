@@ -2,15 +2,17 @@
 
 The short rate follows dr = a*(theta - r)*dt + sigma2*dW2 while the stock
 follows dS/S = r*dt + sigma1*dW1 with Cov(dW1, dW2) = rho*dt.  Everything the
-pricing layer needs from the rate model reduces to three closed forms:
+pricing layer needs from the rate model reduces to two closed forms:
 
-* the zero-coupon bond price P(r, t; tau) = A(t) * exp(-r * B(t)),
-* the instantaneous variance of the forward price S/P, and
-* its integral over a time interval (the number that drives the kernels).
+* the zero-coupon bond price P(r, t; tau) = A(t) * exp(-r * B(t)), and
+* the integral over a time interval of the instantaneous variance of the
+  forward price S/P (the number that drives the kernels).
 
 All functions are pure and each is written once, on Python floats with
 `math`: they take floats (a numpy scalar is converted once) and return
-floats.  The Monte Carlo oracle maps them over its time grid.
+floats.  The Monte Carlo oracle maps them over its time grid.  This is
+production code only: the references that check it (the bond by its ODE,
+the variance rate itself) are in `quad_oracle`.
 """
 
 from __future__ import annotations
@@ -206,22 +208,6 @@ def bond_price(r: float, t: float, tau: float, p: VasicekParams) -> float:
                    p=p, names=_BOND_INPUTS)
 
 
-def effective_vol_sq(t: float, tau: float, p: VasicekParams) -> float:
-    """Instantaneous variance rate of the forward price S / P(r, t; tau).
-
-    Equals sigma1^2 + 2*rho*sigma1*sigma2*B(t) + sigma2^2*B(t)^2, evaluated
-    here in the manifestly non-negative form
-    (sigma1 + rho*sigma2*B)^2 + (1 - rho^2)*(sigma2*B)^2.
-    """
-    if p.sigma2:
-        sB = p.sigma2 * b_factor(t, tau, p.a)
-    else:  # the rate terms add 0, however large B
-        _check_order(float(t), float(tau))
-        sB = 0.0
-    q = p.sigma1 + p.rho * sB
-    return q * q + (1.0 - p.rho * p.rho) * sB * sB
-
-
 def _variance(t0: float, t1: float, tau: float, p: VasicekParams) -> float:
     a, s1, s2, rho = p.a, p.sigma1, p.sigma2, p.rho
     d = t1 - t0
@@ -238,7 +224,7 @@ def _variance(t0: float, t1: float, tau: float, p: VasicekParams) -> float:
 
 
 def integrated_variance(t0: float, t1: float, tau: float, p: VasicekParams) -> float:
-    """Integral of `effective_vol_sq` over [t0, t1], in closed form.
+    """Integral of `quad_oracle.effective_vol_sq` over [t0, t1], in closed form.
 
     For (t0, t1) = (0, tau) this is
     (s1^2 + 2*rho*s1*s2/a + s2^2/a^2)*tau
@@ -263,37 +249,3 @@ def integrated_variance(t0: float, t1: float, tau: float, p: VasicekParams) -> f
     _check_order(t1, tau)
     return _finite("integrated variance", tau, p.a, _variance, t0, t1, tau, p,
                    p=p, names=("sigma1", "sigma2", "rho"))
-
-
-def bond_price_from_ode(r: float, t: float, tau: float, p: VasicekParams) -> float:
-    """Bond price via numerical integration of the affine ODE system.
-
-    Solves B' = a*B - 1 and f' = a*theta*B - sigma2^2*B^2/2 backwards from
-    the terminal condition B(tau) = f(tau) = 0, then returns exp(f - r*B).
-    Exists purely to cross-check `bond_price` by an independent route.
-    Where the log price f - r*B passes the log of the largest float on the
-    way (an explosive model), a terminal event stops the solver there, and
-    this raises a ValueError naming a, as `bond_price` does.
-    """
-    from scipy.integrate import solve_ivp
-
-    r, t, tau = float(r), float(t), float(tau)
-    _check_order(t, tau)
-    if t == tau:
-        return 1.0
-
-    def rhs(s, y):
-        B, _ = y
-        return [p.a * B - 1.0, p.a * p.theta * B - 0.5 * p.sigma2**2 * B * B]
-
-    def overflow(s, y):
-        return _LOG_FLOAT_MAX - (y[1] - r * y[0])
-    overflow.terminal = True
-
-    sol = solve_ivp(rhs, (tau, t), [0.0, 0.0], rtol=1e-12, atol=1e-14,
-                    dense_output=False, method="RK45", events=overflow)
-    log_p = math.inf if sol.status == 1 else float(sol.y[1, -1] - r * sol.y[0, -1])
-    out = _finite("ODE bond price", tau, p.a, math.exp, log_p, p=p, names=_BOND_INPUTS)
-    if not sol.success:
-        raise RuntimeError(f"bond ODE integration failed: {sol.message}")
-    return out

@@ -32,8 +32,8 @@ of the package, and no numpy outside `price_curve`.  The kernels of
 adaptive quadrature of `quadrature.py` do not run on it: `quad_oracle`
 integrates the kernels numerically, and `verify` and the tests hold the
 closed forms to that independent result and to the textbook constant-rate
-formula `up_and_out_call_constant_rate`, which is kept here as an oracle
-only.  The oracles import from here, never the reverse.
+formula `quad_oracle.up_and_out_call_constant_rate`.  The oracles import
+from here, never the reverse.
 
 Barriers are levels on the forward price, which is where the knock-out
 condition of the underlying derivation lives; a spot is knocked out at
@@ -168,29 +168,6 @@ def log_forward(state: MarketState, spec: OptionSpec, p: VasicekParams) -> float
     underflows to zero.
     """
     return _discount_and_log_forward(state, spec, p)[1]
-
-
-def _norm_cdf(z: float) -> float:
-    """Standard normal distribution function, accurate in both tails."""
-    return 0.5 * math.erfc(-z * _SQRT_HALF)
-
-
-def vanilla_call_forward(x: float, strike: float, v: float) -> float:
-    """Forward-units value of a plain call on a driftless lognormal forward.
-
-    e^x * N(d1) - K * N(d2) with d1 = (x - ln K + v/2)/sqrt(v); multiplying
-    by the bond price gives the cash value.  Used as the barrier-free
-    reference that knock-out prices must stay below.
-    """
-    if strike <= 0:
-        raise ValueError("strike must be positive")
-    if v < 0:
-        raise ValueError("variance must be non-negative")
-    if v == 0:
-        return max(math.exp(x) - strike, 0.0)
-    rv = math.sqrt(v)
-    d1 = (x - math.log(strike) + 0.5 * v) / rv
-    return math.exp(x) * _norm_cdf(d1) - strike * _norm_cdf(d1 - rv)
 
 
 def _log_upper_tail(z: float) -> float:
@@ -449,55 +426,3 @@ def price_curve(spots, spec: OptionSpec, p: VasicekParams) -> PriceCurve:
             errors[i] = f"{type(exc).__name__}: {exc}"
     return PriceCurve(spots=spots, prices=prices, errors=tuple(errors),
                       params=p, option=spec)
-
-
-def up_and_out_call_constant_rate(spot: float, strike: float, barrier: float,
-                                  rate: float, sigma: float, maturity: float,
-                                  dividend_yield: float = 0.0) -> float:
-    """Closed-form up-and-out call under a constant rate (spot-monitored).
-
-    Standard reflection formula in terms of normal CDFs.  With
-    ``dividend_yield == rate`` the carry is zero, which prices a barrier
-    option on a driftless forward: that is the constant-rate limit of the
-    stochastic-rate pricer when called with the forward as "spot".  An
-    oracle only: the pricers do not call it, and `verify` and the tests
-    hold `knockout_call_forward` to it.
-
-    Parameters
-    ----------
-    spot, strike, barrier : float
-        Price-units inputs; requires strike < barrier for a non-empty payoff
-        region, else the value is 0.  A spot at or above the barrier is
-        knocked out.
-    rate : float
-        Continuously compounded discount rate.
-    sigma : float
-        Lognormal volatility.
-    maturity : float
-        Years to expiry.
-    dividend_yield : float
-        Continuous yield; the risk-neutral drift is rate - dividend_yield.
-    """
-    if spot <= 0 or strike <= 0 or barrier <= 0:
-        raise ValueError("spot, strike and barrier must be positive")
-    if maturity <= 0 or sigma <= 0:
-        raise ValueError("maturity and sigma must be positive")
-    if spot >= barrier or strike >= barrier:
-        return 0.0
-    b = rate - dividend_yield
-    srt = sigma * math.sqrt(maturity)
-    mu = (b - 0.5 * sigma * sigma) / (sigma * sigma)
-    x1 = math.log(spot / strike) / srt + (1.0 + mu) * srt
-    x2 = math.log(spot / barrier) / srt + (1.0 + mu) * srt
-    y1 = math.log(barrier * barrier / (spot * strike)) / srt + (1.0 + mu) * srt
-    y2 = math.log(barrier / spot) / srt + (1.0 + mu) * srt
-    df = math.exp(-rate * maturity)
-    gf = math.exp((b - rate) * maturity)
-    hs = barrier / spot
-    term_a = spot * gf * _norm_cdf(x1) - strike * df * _norm_cdf(x1 - srt)
-    term_b = spot * gf * _norm_cdf(x2) - strike * df * _norm_cdf(x2 - srt)
-    term_c = spot * gf * hs ** (2.0 * (mu + 1.0)) * _norm_cdf(-y1) \
-        - strike * df * hs ** (2.0 * mu) * _norm_cdf(-y1 + srt)
-    term_d = spot * gf * hs ** (2.0 * (mu + 1.0)) * _norm_cdf(-y2) \
-        - strike * df * hs ** (2.0 * mu) * _norm_cdf(-y2 + srt)
-    return max(term_a - term_b + term_c - term_d, 0.0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vasicek_barrier import cli, kernels, mc_oracle, model, pricer, quad_oracle
+from vasicek_barrier import cli, kernels, mc_oracle, pricer, quad_oracle
 from vasicek_barrier.cli import main
 from vasicek_barrier.quadrature import QuadratureError
 
@@ -338,9 +338,11 @@ class TestCurveCommand:
         code, _, err = run(capsys, "curve", "--grid", "100:110:1")
         assert code == 1 and "grid" in err
         # a non-finite end once priced nan and inf rows, and a span past the
-        # float range once failed the library's grid check
+        # float range, or too narrow for N distinct spots, once failed the
+        # library's grid check
         for grid, message in [("80:inf:5", "must be finite"), ("nan:100:5", "must be finite"),
-                              ("-1e308:1e308:3", "past the float range")]:
+                              ("-1e308:1e308:3", "past the float range"),
+                              ("100:100.00000000000003:50", "not strictly increasing")]:
             code, out, err = run(capsys, "curve", f"--grid={grid}")
             assert (code, out) == (1, "")
             assert err.startswith("error: grid: ") and message in err
@@ -403,15 +405,15 @@ class TestVerifyCommand:
     # option kind it fails for where two checks share it, and what it raises
     ORACLES = {
         "bond vs monte carlo": (mc_oracle, "bond_mc", None, ValueError("paths")),
-        "bond vs ode solution": (model, "bond_price_from_ode", None, ValueError("ode")),
+        "bond vs ode solution": (quad_oracle, "bond_price_from_ode", None, ValueError("ode")),
         "single barrier vs forward-measure mc": (mc_oracle, "price_barrier_mc", "single",
                                                  ValueError("single")),
         "single barrier vs two-factor mc": (mc_oracle, "price_barrier_mc_two_factor", None,
                                             ValueError("two-factor")),
         "double barrier vs forward-measure mc": (mc_oracle, "price_barrier_mc", "double",
                                                  ValueError("corridor")),
-        "constant-rate closed-form reduction": (pricer, "up_and_out_call_constant_rate", None,
-                                                ValueError("textbook")),
+        "constant-rate closed-form reduction": (quad_oracle, "up_and_out_call_constant_rate",
+                                                None, ValueError("textbook")),
         "closed form vs kernel quadrature": (quad_oracle, "price_by_quadrature", None,
                                              QuadratureError("panels", math.nan, math.nan)),
         "chapman-kolmogorov (single kernel)": (kernels, "barrier_kernel", None,
@@ -490,14 +492,15 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and f"a={float(a)!r}" in err
         assert f"maturity {float(maturity)!r}" in err and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("closed_form, checks", [
-        ("knockout_call_forward", ["constant-rate closed-form reduction",
-                                   "closed form vs kernel quadrature"]),
-        ("up_and_out_call_constant_rate", ["constant-rate closed-form reduction"]),
+    @pytest.mark.parametrize("module, closed_form, checks", [
+        (pricer, "knockout_call_forward", ["constant-rate closed-form reduction",
+                                           "closed form vs kernel quadrature"]),
+        (quad_oracle, "up_and_out_call_constant_rate", ["constant-rate closed-form reduction"]),
     ], ids=["production", "constant-rate oracle"])
-    def test_perturbed_closed_form_fails(self, closed_form, checks, monkeypatch, capsys):
-        exact = getattr(pricer, closed_form)
-        monkeypatch.setattr(pricer, closed_form,
+    def test_perturbed_closed_form_fails(self, module, closed_form, checks, monkeypatch,
+                                         capsys):
+        exact = getattr(module, closed_form)
+        monkeypatch.setattr(module, closed_form,
                             lambda *a, **k: exact(*a, **k) * (1.0 + 1e-5))
         code, out, _ = run(capsys, "verify", "--paths", "1000", "--steps", "64")
         assert code == 3
@@ -578,9 +581,9 @@ class TestVerifyCommand:
         # the ODE oracle raises by name where its solution leaves the float
         # range (a = -80 over 10 years); the closed form's own error stops
         # such a run before any check, so that error stands in for it here
-        def ode(r, t, tau, p, solve=model.bond_price_from_ode):
+        def ode(r, t, tau, p, solve=quad_oracle.bond_price_from_ode):
             return solve(r, t, tau, replace(p, a=-80.0))
-        monkeypatch.setattr(model, "bond_price_from_ode", ode)
+        monkeypatch.setattr(quad_oracle, "bond_price_from_ode", ode)
         code, out, err = run(capsys, "verify", "--paths", "2000", "--steps", "16",
                              "--maturity", "10")
         lines = out.strip().splitlines()

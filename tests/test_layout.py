@@ -35,7 +35,9 @@ SHARED = {
     "mc_oracle": {"model": {"VasicekParams", "b_factor", "integrated_variance",
                             "log_bond_price"},
                   "pricer": {"MarketState", "OptionSpec", "log_forward"}},
-    "quad_oracle": {"model": {"VasicekParams", "bond_price", "integrated_variance"},
+    "quad_oracle": {"model": {"VasicekParams", "bond_price", "integrated_variance",
+                              "b_factor", "_finite", "_check_order", "_LOG_FLOAT_MAX",
+                              "_BOND_INPUTS"},
                     "pricer": {"MarketState", "OptionSpec", "PriceResult", "log_forward"}},
 }
 
@@ -115,6 +117,19 @@ def test_model_imports_no_numpy():
     imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom)}
     assert "math" in imported and "numpy" not in imported
+
+
+@pytest.mark.parametrize("module", sorted(CORE))
+def test_core_imports_no_scipy(module):
+    # the scipy-backed references (the ODE bond) live in `quad_oracle`; the
+    # walk sees the imports inside function bodies too
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert "math" in imported
+    assert not {name for name in imported if name.partition(".")[0] == "scipy"}
 
 
 @pytest.mark.parametrize("name", ["price", "price_single_barrier", "price_double_barrier",

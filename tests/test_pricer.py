@@ -236,6 +236,18 @@ class TestDoubleBarrier:
                                              REF).price for upper in (20.0, 12.0))
         assert wide == pytest.approx(narrow, rel=1e-10)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the lower reflection cancels "
+                                           "the direct image, and the sum keeps 6 digits")
+    def test_a_forward_just_above_a_lower_wall_at_the_strike_keeps_its_precision(self):
+        # at maturity 1e-9 the log forward sits 5e-11 above the lower wall,
+        # which is ln K, with v = 9e-11; the reference is the image sum at
+        # 50 digits on the pricer's own float x, v and walls (mpmath), which
+        # `price_by_quadrature` meets within 1.9e-12, and the pricer reads
+        # 4.99998975531082e-09, 2.1e-6 below it
+        spec = OptionSpec.double(100.0, 1e-9, B_LOW, B_UP)
+        got = price_double_barrier(MarketState(spot=100.0, rate=0.05), spec, REF).price
+        assert got == pytest.approx(5.00000041375943e-09, rel=1e-9, abs=0.0)
+
     def test_dominated_by_single_barrier(self):
         for spot in (98.0, 105.0, 112.0, 120.0):
             state = MarketState(spot=spot, rate=0.05)
