@@ -54,22 +54,24 @@ block index and combined in block order with pairwise summation, so
 estimates are bit-identical across runs and across thread counts for
 identical (seed, n_paths, n_steps).
 
-The inner loops write into buffers that each thread allocates once, with
-one row per drawn path: at the default resolution an array is 4 MB
-(2**10 rows x 512 steps).  Paths hold no start column, since every path
-of a call starts at the same point; the builder returns that point.  The
-forward turns its normals into increments and their cumulative sum in
-place, in one array; the two-factor estimator turns its first normals
-into ln S and then the log forward, and its second into the rates, in
-two, through a row-chunk scratch for the rate terms; the bond needs only
-its normals, since its log discount is one weighted sum of them.  The
-knock monitor works through the rows near a wall in chunks of about
-_CHUNK elements, so its temporaries stay small.  Avoiding temporaries
-roughly triples throughput.
+The inner loops write into buffers that each thread allocates once.  Each
+estimator keeps one block-sized array, with one row per drawn path: at
+the default resolution it is 4 MB (2**10 rows x 512 steps).  Paths hold
+no start column, since every path of a call starts at the same point; the
+builder returns that point.  The forward turns its normals into
+increments and their cumulative sum in place; the two-factor estimator
+turns its first normals into ln S and then the log forward, and draws its
+second normals a row chunk at a time into a chunk-sized scratch, where
+they become that chunk's rates and rate terms; the bond needs only its
+normals, since its log discount is one weighted sum of them.  The knock
+monitor works through the rows near a wall in chunks of about _CHUNK
+elements, so its temporaries stay small.  Avoiding temporaries roughly
+triples throughput.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
@@ -100,15 +102,17 @@ _EXP_FLOOR = -700.0
 # discount weights by up to e^{-a tau}; past e^700 they can leave the float
 # range (max ~ e^709.8).
 _OU_RANGE = 700.0
-# Steps a path, checked before anything is allocated: a worker's array of
-# 2**10 drawn rows then stays under 128 MB (the two-factor's two under 256 MB).
+# Steps a path, checked before anything is allocated: a worker's one
+# block-sized array of 2**10 drawn rows then stays within 128 MB.
 _MAX_STEPS = 1 << 14
-# Paths a run, checked by `MCConfig`: `_simulate` submits every block at
-# once, and 8192 blocks of 2**11 paths hold about 14 MB of futures.
+# Paths a run, checked by `MCConfig`.  `_simulate` holds at most two blocks
+# a worker in flight, so its futures do not grow with the run;
+# `_require_samplable` sizes its refusal by this limit.
 _MAX_PATHS = 1 << 24
 # Elements per chunk of the loops that work through a block's rows in chunks
-# (the knock monitor's near-wall rows, the two-factor's rate terms): bounds
-# their temporaries at about 0.5 MB each.  A 32-step block is one chunk.
+# (the knock monitor's near-wall rows, the two-factor's rates and rate
+# terms): bounds their temporaries at about 0.5 MB each.  A 32-step block is
+# one chunk.
 _CHUNK = 1 << 16
 
 
@@ -290,9 +294,10 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
     float range fails by name instead of returning NaN.
 
     Blocks run on `_workers` threads, each with its own buffers; numpy
-    releases the interpreter lock inside its fills and ufuncs.  The
-    per-block payoff moments are reduced in block order, so the estimate
-    does not depend on the thread count.
+    releases the interpreter lock inside its fills and ufuncs.  At most two
+    blocks a worker are in flight, and their payoff moments are taken and
+    reduced in block order, so the estimate does not depend on the thread
+    count.
     """
     from concurrent.futures import ThreadPoolExecutor  # ~11 ms, so not at import
 
@@ -338,9 +343,15 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
                              f"{float(stats[0])!r}): the simulated paths leave the float range")
         return stats
 
-    pool = ThreadPoolExecutor(_workers(len(blocks)))
-    try:
-        stats = list(pool.map(run, blocks))
+    workers = _workers(len(blocks))
+    pool = ThreadPoolExecutor(workers)
+    try:  # at most 2 blocks a worker in flight, their results taken in block order
+        stats, ahead = [], collections.deque()
+        for block in blocks:
+            if len(ahead) == 2 * workers:
+                stats.append(ahead.popleft().result())
+            ahead.append(pool.submit(run, block))
+        stats.extend(future.result() for future in ahead)
     finally:  # on an error or an interrupt, drop the blocks not yet started
         pool.shutdown(cancel_futures=True)
     return _reduce(stats, np.array([m for _, m in blocks]), n, cfg.seed)
@@ -691,23 +702,26 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
         log_s0 = math.log(state.spot)
 
         def build(rng, buf, m):
-            x, r = buf.drawn("x", m), buf.drawn("r", m)
+            x = buf.drawn("x", m)
             rng.standard_normal(out=x)
-            rng.standard_normal(out=r)
             log_disc = buf.column("log_disc", m)
             chunks, terms = buf.chunks("terms", m)
-            for rows in chunks:  # the rate normals rho Z1 + rho_c Z2, in r
-                t, rc = terms[:rows.stop - rows.start], r[rows]
-                np.multiply(x[rows], p.rho, out=t)
+            _, r = buf.chunks("r", m)
+            # the Z2 rows a chunk at a time, in row order: the same stream
+            # as one draw of the whole block
+            for rows in chunks:
+                k = rows.stop - rows.start
+                t, xc, rc = terms[:k], x[rows], r[:k]
+                rng.standard_normal(out=rc)
+                # the rate normals rho Z1 + rho_c Z2, in rc
+                np.multiply(xc, p.rho, out=t)
                 np.multiply(rc, rho_c, out=rc)
                 np.add(rc, t, out=rc)
-            _ou_paths_into(r, state.rate, dt, p)  # r now holds r_1..r_n
-            # Euler log-stock increments: ((r_j + r_{j+1})/2 - s1^2/2) dt + s1 sqrt(dt) Z1,
-            # the drift s1^2/2 dt left to `shift`; the path's log discount is
-            # minus the sum of the same trapezoid rate terms, so the
-            # discounted stock is an exact martingale
-            for rows in chunks:
-                t, xc, rc = terms[:rows.stop - rows.start], x[rows], r[rows]
+                _ou_paths_into(rc, state.rate, dt, p)  # rc now holds r_1..r_n
+                # Euler log-stock increments: ((r_j + r_{j+1})/2 - s1^2/2) dt + s1 sqrt(dt) Z1,
+                # the drift s1^2/2 dt left to `shift`; the path's log discount is
+                # minus the sum of the same trapezoid rate terms, so the
+                # discounted stock is an exact martingale
                 np.add(rc[:, 0], state.rate, out=t[:, 0])
                 np.add(rc[:, :-1], rc[:, 1:], out=t[:, 1:])
                 np.multiply(t, 0.5 * dt, out=t)

@@ -217,13 +217,14 @@ def test_grid_helper_equals_per_element_calls():
 class TestWorkingSet:
     """Each worker keeps one array a drawn row and only the scratch its estimator needs."""
 
-    # peak bytes traced for two 2048 x 512 blocks on one worker: the forward
-    # builds its 1024 drawn paths in its normals (4.2 MB), the two-factor
-    # builds them in its first normals and its rates in its second (4.2 MB
-    # each), the bond keeps only its normals (4.2 MB); the rest is the
-    # monitor's and the rate terms' chunks
-    PEAK_MB = {"forward-single": 8, "forward-corridor": 8, "two-factor-single": 13,
-               "two-factor-corridor": 13, "bond": 5}
+    # peak bytes traced for two 2048 x 512 blocks on one worker: each
+    # estimator keeps one block-sized array of its 1024 drawn rows (4.2 MB).
+    # The forward builds its paths in its normals, the two-factor builds
+    # them in its first normals and draws its second a row chunk at a time,
+    # and the bond keeps only its normals; the rest is the monitor's and the
+    # rate chunks
+    PEAK_MB = {"forward-single": 8, "forward-corridor": 8, "two-factor-single": 8,
+               "two-factor-corridor": 8, "bond": 5}
 
     @pytest.mark.parametrize("estimator", sorted(PEAK_MB))
     def test_peak_traced_memory(self, estimator, monkeypatch):
@@ -249,8 +250,8 @@ class TestWorkingSet:
     @pytest.mark.parametrize("kind", ["single", "corridor"])
     def test_monitor_weights_do_not_depend_on_the_chunk_size(self, kind, monkeypatch):
         # one row per chunk, the default (512 of these 128-step rows), and the
-        # whole block as one chunk; the two-factor's rate terms go through
-        # the same chunks
+        # whole block as one chunk; the two-factor draws its rate normals and
+        # builds its rates through the same chunks
         spec = TestBridgeScreen.SPECS[kind]
         weights, estimates = [], []
         # one worker, so the monitor records the blocks in block order
@@ -301,6 +302,59 @@ class TestDeterminism:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+    # (mean, standard error) at MCConfig(2 * _BLOCK + 77, 64, 5), recorded
+    # with numpy 2.4 on x86-64: a change to how a builder lays out or draws
+    # its normals must consume the same stream and keep every estimate the
+    # same float
+    PINNED = {"forward-single": (0.4849779643050668, 0.035283223296834004),
+              "forward-corridor": (0.00104811356013619, 0.0008450525802364397),
+              "two-factor-single": (0.569137393364761, 0.04003486855500009),
+              "two-factor-corridor": (0.00019470987049656846, 0.00016795098945125491),
+              "bond": (0.9616679044146689, 0.0002226243964823119)}
+
+    @pytest.mark.parametrize("estimator", sorted(PINNED))
+    def test_estimates_are_pinned_across_versions(self, estimator):
+        est = ESTIMATORS[estimator](MCConfig(2 * mc_oracle._BLOCK + 77, 64, 5))
+        assert (est.mean, est.std_error) == self.PINNED[estimator]
+
+    def test_blocks_in_flight_are_bounded(self, monkeypatch):
+        # 3001 blocks of 8 paths on 3 workers: at most two blocks a worker
+        # are submitted and not yet taken, and the estimate is the
+        # one-worker run's
+        import concurrent.futures
+        monkeypatch.setattr(mc_oracle, "_BLOCK", 8)
+        cfg = MCConfig(n_paths=8 * 3000 + 5, n_steps=16, seed=43)
+        estimate = ESTIMATORS["two-factor-corridor"]
+        monkeypatch.setattr(mc_oracle, "_workers", lambda n_blocks: 1)
+        serial = estimate(cfg)
+        outstanding = most = submitted = 0
+
+        class Taken:  # a future that counts when its result is taken
+            def __init__(self, future):
+                self.future = future
+
+            def __getattr__(self, name):
+                return getattr(self.future, name)
+
+            def result(self, timeout=None):
+                nonlocal outstanding
+                outstanding -= 1
+                return self.future.result(timeout)
+
+        class Counting(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                nonlocal outstanding, most, submitted
+                outstanding += 1
+                submitted += 1
+                most = max(most, outstanding)
+                return Taken(super().submit(fn, *args, **kwargs))
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(mc_oracle, "_workers", lambda n_blocks: 3)
+        assert estimate(cfg) == serial
+        assert submitted == 3001 and outstanding == 0
+        assert 0 < most <= 2 * 3
 
     def test_seed_changes_estimate(self):
         a = price_barrier_mc(STATE, SINGLE, REF, MCConfig(50_000, 64, 1))

@@ -248,6 +248,16 @@ class TestDoubleBarrier:
         got = price_double_barrier(MarketState(spot=100.0, rate=0.05), spec, REF).price
         assert got == pytest.approx(5.00000041375943e-09, rel=1e-9, abs=0.0)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the image and its reflection "
+                                           "cancel over a payoff window of 1e-9")
+    def test_an_up_and_out_just_above_the_strike_keeps_its_sign(self):
+        # the up-and-out is the corridor with its lower wall at -inf; with its
+        # upper wall 1e-9 above ln K the price is a tiny positive number, and
+        # the pricer reads -8.63e-15
+        spec = OptionSpec.single_up(100.0, 1.0, math.log(100.0) + 1e-9)
+        got = price_single_barrier(MarketState(spot=60.0, rate=0.05), spec, REF).price
+        assert got >= 0.0
+
     def test_dominated_by_single_barrier(self):
         for spot in (98.0, 105.0, 112.0, 120.0):
             state = MarketState(spot=spot, rate=0.05)
