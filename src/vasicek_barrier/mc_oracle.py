@@ -33,9 +33,10 @@ h = ceil(m/2) paths only, and path h + i is the antithetic partner of path
 i, the path of its normals negated (the two-factor estimator negates both
 of its normal sets).  Every builder is affine in its normals, so that
 partner is the reflection 2 x0 - x_i about the zero-noise path x0:
-`_simulate` builds x0 once per call; each block builds its h drawn rows,
-records their final points, discounts and monitor weights, then reflects
-rows 0..m-h-1 in place and records them again as rows h..m-1, so the
+`_simulate` builds x0 once per call.  A builder yields its h drawn rows a
+row chunk at a time; for each chunk `_simulate` records the final points,
+discounts and monitor weights, then reflects the chunk's partnered rows
+(those of 0..m-h-1) in place and records them again as rows h + i, so the
 builders do their per-step arithmetic on the drawn rows alone.  The mean
 is taken over all paths; the standard error over units, each pair
 (i, h + i) one unit and the unpaired row h - 1 of an odd block a unit of
@@ -54,19 +55,22 @@ block index and combined in block order with pairwise summation, so
 estimates are bit-identical across runs and across thread counts for
 identical (seed, n_paths, n_steps).
 
-The inner loops write into buffers that each thread allocates once.  Each
-estimator keeps one block-sized array, with one row per drawn path: at
-the default resolution it is 4 MB (2**10 rows x 512 steps).  Paths hold
-no start column, since every path of a call starts at the same point; the
-builder returns that point.  The forward turns its normals into
-increments and their cumulative sum in place; the two-factor estimator
-turns its first normals into ln S and then the log forward, and draws its
-second normals a row chunk at a time into a chunk-sized scratch, where
-they become that chunk's rates and rate terms; the bond needs only its
-normals, since its log discount is one weighted sum of them.  The knock
-monitor works through the rows near a wall in chunks of about _CHUNK
-elements, so its temporaries stay small.  Avoiding temporaries roughly
-triples throughput.
+The inner loops write into buffers that each thread allocates once.  The
+forward and the bond draw and build their rows in chunks of about
+_PATH_CHUNK elements (2 MB), at any resolution; only the two-factor
+estimator still keeps one block-sized array, with one row per drawn path
+(4 MB at 2**10 rows x 512 steps), because its stream draws every first
+normal of a block before any second one.  Paths hold no start column,
+since every path of a call starts at the same point; the builder yields
+that point.  The forward turns its normals into increments and their
+cumulative sum in place; the two-factor estimator turns its first normals
+into ln S and then the log forward, and draws its second normals a row
+chunk at a time into a chunk-sized scratch, where they become that
+chunk's rates and rate terms; the bond needs only its normals, since its
+log discount is one weighted sum of them.  The knock monitor works
+through the rows near a wall in chunks of about _CHUNK elements, so its
+temporaries stay small.  Avoiding temporaries roughly triples
+throughput.
 """
 
 from __future__ import annotations
@@ -102,8 +106,9 @@ _EXP_FLOOR = -700.0
 # discount weights by up to e^{-a tau}; past e^700 they can leave the float
 # range (max ~ e^709.8).
 _OU_RANGE = 700.0
-# Steps a path, checked before anything is allocated: a worker's one
-# block-sized array of 2**10 drawn rows then stays within 128 MB.
+# Steps a path, checked before anything is allocated: the two-factor
+# estimator's block-sized array of 2**10 drawn rows, the one such array
+# left, then stays within 128 MB a worker.
 _MAX_STEPS = 1 << 14
 # Paths a run, checked by `MCConfig`.  `_simulate` holds at most two blocks
 # a worker in flight, so its futures do not grow with the run;
@@ -114,6 +119,11 @@ _MAX_PATHS = 1 << 24
 # terms): bounds their temporaries at about 0.5 MB each.  A 32-step block is
 # one chunk.
 _CHUNK = 1 << 16
+# Elements per row chunk that the forward and bond builders draw and build
+# before `_simulate` monitors and mirrors it: 2 MB at any resolution.  A
+# smaller chunk costs more numpy calls a block, which slowed two workers
+# by 18% (2**17) and 35% (2**16); half a 32-step block is one chunk.
+_PATH_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -220,9 +230,11 @@ class _Buffers:
 
     ``buf.drawn(name, m)`` returns the first ceil(m/2) rows of a
     (ceil(rows/2), n_steps) array: one row per drawn path, which
-    `_simulate` reflects in place once those rows are recorded.
-    ``buf.chunks(name, m)`` splits those rows into slices of about _CHUNK
-    elements and returns them with a scratch array for one slice.
+    `_simulate` reflects in place once those rows are recorded.  Only the
+    two-factor estimator still keeps this h x n array.
+    ``buf.chunks(name, m, size)`` splits the ceil(m/2) drawn rows into
+    slices of about ``size`` elements and returns them with an array for
+    one slice: the forward and the bond draw and build their rows in it.
     ``buf.column(name, m)`` returns the first m entries of a (rows,)
     vector.  A partial final block reuses the same memory.
     """
@@ -243,11 +255,11 @@ class _Buffers:
         rows, n = self._shape
         return self._array(name, (_drawn(rows), n))[:_drawn(m)]
 
-    def chunks(self, name: str, m: int) -> tuple[list, np.ndarray]:
-        """Slices of the ceil(m/2) drawn rows, each of about _CHUNK elements (at
-        least a row), and an array with the rows of the largest."""
+    def chunks(self, name: str, m: int, size: int) -> tuple[list, np.ndarray]:
+        """Slices of the ceil(m/2) drawn rows, each of about ``size`` elements
+        (at least a row), and an array with the rows of the largest."""
         rows, n = self._shape
-        per = min(max(1, _CHUNK // n), _drawn(rows))
+        per = min(max(1, size // n), _drawn(rows))
         h = _drawn(m)
         return [slice(i, min(i + per, h)) for i in range(0, h, per)], self._array(name, (per, n))
 
@@ -270,23 +282,28 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
     """Run every block through ``build``, the knock monitor and the payoff.
 
     ``build(rng, buf, m)`` builds the first h = ceil(m/2) paths of a block
-    of m from normals drawn from ``rng``, in buffers taken from ``buf``, and
-    returns (x, log_disc, start): the drawn paths x (h, k) past their start,
-    whose last column is the log of the payoff variable at maturity, the
-    log discount factor, per path (m,) with its first h entries set or
-    common to all, and the start that every path shares.  Paths pay
+    of m from normals drawn from ``rng``, in buffers taken from ``buf``.
+    It is a generator over row chunks of those h rows, in row order, and
+    yields (x, log_disc, start) for each: the chunk's paths x (k, n) past
+    their start, whose last column is the log of the payoff variable at
+    maturity, the log discount factor, common to all paths or one per row
+    of the chunk (k,), and the start that every path shares.  Paths pay
     (e^{x_T} - strike)^+ * e^log_disc, times the bridge survival weight that
     ``walls`` gives them, and 0 where ``walls`` knocks them out on the grid;
-    with no walls (the bond) nothing is monitored.
+    with no walls (the bond) nothing is monitored.  Each chunk is recorded
+    and mirrored before the next is built, so a builder may reuse one
+    chunk's memory for the next.
 
     Antithetic pairs by reflection: every builder is affine in its normals,
     so the path driven by the negated normals of path i is 2 x0 - x_i, where
     x0 is the path driven by zero normals.  ``build`` runs once on `_Zeros`,
-    in extended precision, for x0.  Each block records the final points and
-    the monitor of its h drawn rows, then overwrites rows 0..m-h-1 with
-    2 x0 - row i, starting from 2 x0's start less the start, and records
-    them as rows h..m-1; a per-path log discount is reflected likewise
-    (before its exp).  The unpaired row h - 1 of an odd block stays as built.
+    in extended precision and one row, for x0.  For each chunk of rows
+    i..i+k-1 the block records their final points, discounts and monitor,
+    then overwrites the rows among them that have a partner (rows below
+    m - h) with 2 x0 - row, starting from 2 x0's start less the start, and
+    records them as rows h + i..; a per-path log discount is reflected
+    likewise (before its exp).  The unpaired row h - 1 of an odd block
+    stays as built.
 
     Float range: the block arithmetic runs with numpy's overflow and
     invalid-value warnings off, and a block whose payoff moments are not
@@ -307,7 +324,7 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
     with np.errstate(over="ignore", invalid="ignore"):
         # 2 x0; extended precision keeps the rounding of x0's cumulative
         # sums, about 1e-13 over 512 steps, from biasing every reflected row
-        x0, disc0, start0 = build(_Zeros(), _Buffers(1, n, np.longdouble), 1)
+        (x0, disc0, start0), = build(_Zeros(), _Buffers(1, n, np.longdouble), 1)
         twice_x = np.asarray(2.0 * x0[0], dtype=float)
         twice_disc = np.asarray(2.0 * disc0[0], dtype=float) if np.ndim(disc0) else None
         twice_start = float(2.0 * start0)
@@ -318,23 +335,28 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
             local.buf = _Buffers(rows, n)
         buf = local.buf
         with np.errstate(over="ignore", invalid="ignore"):
-            x, log_disc, start = build(_block_rng(cfg.seed, index), buf, m)
             h = _drawn(m)
-            x_final = buf.column("x_final", m)
+            x_final, log_disc = buf.column("x_final", m), buf.column("log_disc", m)
             knocked = None if walls is None else np.empty(m, bool)
             weight = None if walls is None else buf.column("weight", m)
 
-            def record(rows, paths, start):  # final points, knock mask and weights
+            def record(rows, paths, disc, start):  # final points, discounts, knock mask and weights
                 x_final[rows] = paths[:, -1]
+                log_disc[rows] = disc
                 if walls is not None:
                     knocked[rows] = walls.knock(paths, start, weight[rows])
-            record(slice(0, h), x, start)
-            mirrored = x[:m - h]
-            np.subtract(twice_x, mirrored, out=mirrored)
-            if twice_disc is not None:
-                np.subtract(twice_disc, log_disc[:m - h], out=log_disc[h:])
-            record(slice(h, m), mirrored, twice_start - start)
-            scale = np.exp(log_disc)
+            first = 0  # the chunk's first row
+            for x, disc, start in build(_block_rng(cfg.seed, index), buf, m):
+                k = x.shape[0]
+                record(slice(first, first + k), x, disc, start)
+                paired = min(first + k, m - h) - first  # the chunk's rows with a partner
+                mirrored = x[:paired]
+                np.subtract(twice_x, mirrored, out=mirrored)
+                if twice_disc is not None:
+                    disc = np.subtract(twice_disc, disc[:paired])
+                record(slice(h + first, h + first + paired), mirrored, disc, twice_start - start)
+                first += k
+            scale = np.exp(log_disc, out=log_disc)
             if weight is not None:
                 scale = np.multiply(weight, scale, out=weight)
             stats = _payoff_stats(x_final, strike, knocked, scale)
@@ -440,19 +462,26 @@ def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimat
     the block loop's payoff struck at zero on the log discount, a
     one-column path from 0, with no barrier.  A log discount so spread that
     no run can sample the bond's mean raises a ValueError naming a
-    (`_require_samplable`).
+    (`_require_samplable`).  At maturity no step is left and the estimate
+    is exactly 1; a negative tau raises a ValueError.
     """
+    if tau < 0.0:
+        raise ValueError(f"maturity tau={tau} is below 0")
     n = _n_steps(cfg, tau)
+    if n == 0:
+        return MCEstimate(1.0, 0.0, cfg.n_paths, 0, cfg.seed)
     const, weights = _bond_log_discount_weights(r0, tau, n, p)
     _require_samplable(weights, p.a, tau, "the bond's mean")
 
     def build(rng, buf, m):
-        z, log_disc = buf.drawn("z", m), buf.column("log_disc", m)
-        rng.standard_normal(out=z)
-        drawn = log_disc[:z.shape[0]]
-        np.einsum("ij,j->i", z, weights, out=drawn)  # BLAS-free: no thread pool of its own
-        drawn += const
-        return drawn[:, None], 0.0, 0.0
+        chunks, z = buf.chunks("z", m, _PATH_CHUNK)
+        paths = buf.column("paths", m)
+        for rows in chunks:
+            zc, drawn = z[:rows.stop - rows.start], paths[rows]
+            rng.standard_normal(out=zc)
+            np.einsum("ij,j->i", zc, weights, out=drawn)  # BLAS-free: no thread pool of its own
+            drawn += const
+            yield drawn[:, None], 0.0, 0.0
     return _simulate(cfg, n, build, 0.0)
 
 
@@ -626,7 +655,9 @@ def _option_mc(state: MarketState, spec: OptionSpec, p: VasicekParams, cfg: MCCo
     ``paths(x0, grid, v)`` returns the estimator's block builder for
     `_simulate`, given the start x0 of the log forward, the time grid (a
     list of floats) and its per-step forward variances v.  A start outside the barrier region
-    returns the knocked-out estimate (0, 0).  A negative step variance (the
+    returns the knocked-out estimate (0, 0).  At maturity no step is left,
+    and a start inside returns the exact payoff (e^x0 - strike)^+ times the
+    bond price, with standard error 0.  A negative step variance (the
     closed form's cancellation at some small |a|) raises a ValueError naming
     a.
     """
@@ -635,6 +666,10 @@ def _option_mc(state: MarketState, spec: OptionSpec, p: VasicekParams, cfg: MCCo
     lower, upper = spec.walls
     if not lower < x0 < upper:
         return MCEstimate(0.0, 0.0, cfg.n_paths, n, cfg.seed)
+    if n == 0:
+        payoff = max(math.exp(x0) - spec.strike, 0.0)
+        disc = math.exp(log_bond_price(state.rate, state.time, spec.maturity, p))
+        return MCEstimate(payoff * disc, 0.0, cfg.n_paths, 0, cfg.seed)
     grid = np.linspace(state.time, spec.maturity, n + 1).tolist()
     v = _on_grid(lambda t0, t1: integrated_variance(t0, t1, spec.maturity, p),
                  grid[:-1], grid[1:])
@@ -657,16 +692,18 @@ def price_barrier_mc(state: MarketState, spec: OptionSpec, p: VasicekParams,
     """
     def forward_paths(x0, grid, v):
         log_disc = log_bond_price(state.rate, state.time, spec.maturity, p)
-        sd = np.sqrt(v)
+        sd, drift = np.sqrt(v), 0.5 * v
 
         def build(rng, buf, m):
-            x = buf.drawn("x", m)
-            rng.standard_normal(out=x)
-            np.multiply(x, sd, out=x)
-            np.subtract(x, 0.5 * v, out=x)  # x now holds the increments
-            x[:, 0] += x0  # so the cumulative sum starts from x0
-            np.cumsum(x, axis=1, out=x)
-            return x, log_disc, x0
+            chunks, x = buf.chunks("x", m, _PATH_CHUNK)
+            for rows in chunks:
+                xc = x[:rows.stop - rows.start]
+                rng.standard_normal(out=xc)
+                np.multiply(xc, sd, out=xc)
+                np.subtract(xc, drift, out=xc)  # xc now holds the increments
+                xc[:, 0] += x0  # so the cumulative sum starts from x0
+                np.cumsum(xc, axis=1, out=xc)
+                yield xc, log_disc, x0
         return build
     return _option_mc(state, spec, p, cfg, forward_paths)
 
@@ -702,11 +739,13 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
         log_s0 = math.log(state.spot)
 
         def build(rng, buf, m):
+            # every Z1 row of the block is drawn before any Z2 row, so the
+            # paths are built whole and yielded as one chunk
             x = buf.drawn("x", m)
             rng.standard_normal(out=x)
-            log_disc = buf.column("log_disc", m)
-            chunks, terms = buf.chunks("terms", m)
-            _, r = buf.chunks("r", m)
+            log_disc = buf.column("path_disc", m)
+            chunks, terms = buf.chunks("terms", m, _CHUNK)
+            _, r = buf.chunks("r", m, _CHUNK)
             # the Z2 rows a chunk at a time, in row order: the same stream
             # as one draw of the whole block
             for rows in chunks:
@@ -739,6 +778,6 @@ def price_barrier_mc_two_factor(state: MarketState, spec: OptionSpec,
             # precision (extended for the zero-noise path)
             start = buf.dtype(log_s0) + buf.dtype(state.rate) * b_fac[0] - shift[0]
             # at maturity B = 0 and shift holds only the drift, so x_T = ln S_T
-            return x, log_disc, start
+            yield x, log_disc[:x.shape[0]], start
         return build
     return _option_mc(state, spec, p, cfg, joint_paths)

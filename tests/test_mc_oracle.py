@@ -9,7 +9,7 @@ import pytest
 from vasicek_barrier import mc_oracle
 from vasicek_barrier import (MCConfig, MarketState, OptionSpec, VasicekParams,
                              b_factor, bond_mc, bond_price, integrated_variance,
-                             log_bond_price, log_forward, price_barrier_mc,
+                             log_bond_price, log_forward, price, price_barrier_mc,
                              price_barrier_mc_two_factor, price_double_barrier,
                              price_single_barrier, up_and_out_call_constant_rate,
                              vanilla_call_forward)
@@ -215,29 +215,40 @@ def test_grid_helper_equals_per_element_calls():
 
 
 class TestWorkingSet:
-    """Each worker keeps one array a drawn row and only the scratch its estimator needs."""
+    """Each worker keeps only the rows its estimator builds at a time and the scratch it needs."""
 
-    # peak bytes traced for two 2048 x 512 blocks on one worker: each
-    # estimator keeps one block-sized array of its 1024 drawn rows (4.2 MB).
-    # The forward builds its paths in its normals, the two-factor builds
-    # them in its first normals and draws its second a row chunk at a time,
-    # and the bond keeps only its normals; the rest is the monitor's and the
-    # rate chunks
-    PEAK_MB = {"forward-single": 8, "forward-corridor": 8, "two-factor-single": 8,
-               "two-factor-corridor": 8, "bond": 5}
+    # peak bytes traced for two 2048 x 512 blocks on one worker.  The
+    # two-factor keeps one block-sized array of its 1024 drawn rows (4.2 MB):
+    # it builds its paths in its first normals and draws its second a row
+    # chunk at a time.  The forward and the bond draw and build their drawn
+    # rows in chunks of 2**18 elements (2.1 MB), which each block monitors
+    # and mirrors before it builds the next; the rest is the monitor's and
+    # the rate chunks
+    PEAK_MB = {"forward-single": 5, "forward-corridor": 5, "two-factor-single": 8,
+               "two-factor-corridor": 8, "bond": 3}
+    # at 8192 steps a block-sized array would take 67 MB; the chunks stay 2.1 MB
+    PEAK_MB_8192 = {"forward-single": 6, "forward-corridor": 6, "bond": 6}
 
-    @pytest.mark.parametrize("estimator", sorted(PEAK_MB))
-    def test_peak_traced_memory(self, estimator, monkeypatch):
+    @staticmethod
+    def traced_peak(estimator, steps, monkeypatch):
         monkeypatch.setattr(mc_oracle, "_workers", lambda n_blocks: 1)
-        cfg = MCConfig(n_paths=2 * mc_oracle._BLOCK, n_steps=512, seed=3)
+        cfg = MCConfig(n_paths=2 * mc_oracle._BLOCK, n_steps=steps, seed=3)
         ESTIMATORS[estimator](cfg)  # imports and caches outside the trace
         tracemalloc.start()
         try:
             ESTIMATORS[estimator](cfg)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= self.PEAK_MB[estimator] * 1e6
+
+    @pytest.mark.parametrize("estimator", sorted(PEAK_MB))
+    def test_peak_traced_memory(self, estimator, monkeypatch):
+        assert self.traced_peak(estimator, 512, monkeypatch) <= self.PEAK_MB[estimator] * 1e6
+
+    @pytest.mark.parametrize("estimator", sorted(PEAK_MB_8192))
+    def test_peak_traced_memory_does_not_grow_with_the_steps(self, estimator, monkeypatch):
+        peak = self.traced_peak(estimator, 8192, monkeypatch)
+        assert peak <= self.PEAK_MB_8192[estimator] * 1e6
 
     @pytest.mark.parametrize("a", [-5.0, 1e-7, 1.0, 800.0])
     def test_bond_weighted_sum_matches_the_ou_paths(self, a):
@@ -249,24 +260,34 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("kind", ["single", "corridor"])
     def test_monitor_weights_do_not_depend_on_the_chunk_size(self, kind, monkeypatch):
-        # one row per chunk, the default (512 of these 128-step rows), and the
-        # whole block as one chunk; the two-factor draws its rate normals and
-        # builds its rates through the same chunks
+        # one row per chunk, the defaults, and the whole block as one chunk.
+        # At these 1024-step rows the defaults are 64 rows for the monitor and
+        # the two-factor's rate chunks, and 256 for the path chunks in which
+        # the forward draws, builds, monitors and mirrors its rows (the bond's
+        # 4096-step rows: 64); each block's per-path payoff inputs and every
+        # estimate are the same floats
         spec = TestBridgeScreen.SPECS[kind]
-        weights, estimates = [], []
-        # one worker, so the monitor records the blocks in block order
+        payoffs, estimates = [], []
+        # one worker, so the blocks are recorded in block order
         monkeypatch.setattr(mc_oracle, "_workers", lambda n_blocks: 1)
-        cfg = MCConfig(mc_oracle._BLOCK + 77, 512, 7)
-        for chunk in (1, mc_oracle._CHUNK, 1 << 30):
+        blocks = record_payoff_inputs(monkeypatch)
+        cfg = MCConfig(mc_oracle._BLOCK + 77, 4096, 7)
+        for chunk, path_chunk in ((1, 1), (mc_oracle._CHUNK, mc_oracle._PATH_CHUNK),
+                                  (1 << 30, 1 << 30)):
             monkeypatch.setattr(mc_oracle, "_CHUNK", chunk)
-            blocks = record_monitor(monkeypatch)
-            price_barrier_mc(STATE, spec, REF, cfg)
-            weights.append([w for *_, w, _ in blocks])
-            estimates.append(price_barrier_mc_two_factor(STATE, spec, REF, cfg))
-        assert len(weights[0]) == 2 * 2  # the drawn and the mirrored half of two blocks
-        for w1, w_default, w_block in zip(*weights):
-            assert np.array_equal(w1, w_default) and np.array_equal(w1, w_block)
-            assert np.any((w1 > 0.0) & (w1 < 1.0))
+            monkeypatch.setattr(mc_oracle, "_PATH_CHUNK", path_chunk)
+            estimates.append((price_barrier_mc(STATE, spec, REF, cfg),
+                              price_barrier_mc_two_factor(STATE, spec, REF, cfg),
+                              bond_mc(0.05, 1.0, REF, cfg)))
+            payoffs.append(blocks[:])
+            blocks.clear()
+        assert len(payoffs[0]) == 3 * 2  # two blocks of each estimator
+        for one_row, default, whole in zip(*payoffs):
+            for a, b, c in zip(one_row, default, whole):
+                assert np.array_equal(a, b) and np.array_equal(a, c)
+        for x_final, knocked, scale in payoffs[0][:4]:  # the options' blocks
+            survivors = scale[~knocked]
+            assert np.any(survivors < survivors.max())  # some bridge weights below 1
         assert estimates[0] == estimates[1] == estimates[2]
 
 
@@ -438,11 +459,25 @@ def dense_weights(x, lower, upper, inv_v):
     return np.where(knocked, 0.0, factors.prod(axis=1))
 
 
-def record_monitor(monkeypatch):
-    """Record (x, lower, upper, inv_v, weights, mask) of every bridge-monitored half block.
+def record_payoff_inputs(monkeypatch):
+    """Record (final points, knock mask, scale) of every block's payoff, in block order."""
+    blocks = []
+    payoff_stats = mc_oracle._payoff_stats
 
-    The monitor sees a block's drawn rows, then its mirrored rows, each
-    without their shared start; x puts that start back in front.
+    def recording(x_final, strike, knocked, scale):
+        blocks.append((x_final.copy(), None if knocked is None else knocked.copy(),
+                       np.array(scale, copy=True)))
+        return payoff_stats(x_final, strike, knocked, scale)
+    monkeypatch.setattr(mc_oracle, "_payoff_stats", recording)
+    return blocks
+
+
+def record_monitor(monkeypatch):
+    """Record (x, lower, upper, inv_v, weights, mask) of every bridge-monitored row chunk.
+
+    The monitor sees a chunk of a block's drawn rows, then that chunk's
+    mirrored rows, each without their shared start; x puts that start back
+    in front.
     """
     blocks = []
     for name in ("_single_bridge_knockout", "_double_bridge_knockout"):
@@ -474,7 +509,8 @@ class TestBridgeScreen:
             state = MarketState(spot=spot, rate=0.05)
             price_barrier_mc(state, spec, REF, cfg)
             price_barrier_mc_two_factor(state, spec, REF, cfg)
-        assert len(blocks) == 4 * 2 * 2 * 2  # spots, estimators, blocks, halves
+        # spots, estimators, blocks, halves: at 8 and 128 steps a half is one chunk
+        assert len(blocks) == 4 * 2 * 2 * 2
         near_start = 0
         for x, lower, upper, inv_v, w, knocked in blocks:
             reach = math.sqrt(20.0 / inv_v.min())
@@ -567,11 +603,17 @@ class TestMonitorContract:
     @pytest.mark.parametrize("estimator, sets", [("forward-single", 1), ("forward-corridor", 1),
                                                  ("two-factor-single", 2),
                                                  ("two-factor-corridor", 2), ("bond", 1)])
+    @pytest.mark.parametrize("path_rows", [None, 19], ids=["default-chunks", "19-row-chunks"])
     def test_each_block_draws_half_its_rows_and_mirrors_the_rest(self, estimator, sets,
-                                                                  monkeypatch):
+                                                                  path_rows, monkeypatch):
         # row h + i of a block is the path of row i's normals negated: checked
-        # against the estimator's own builder run on normals negated here
-        draws, builds, built, blocks = {}, [], [], []
+        # against the estimator's own builder run on normals negated here.
+        # The forward and the bond yield their drawn rows in row chunks, which
+        # are mirrored one at a time: at 19 rows a chunk the odd block's last
+        # chunk is its unpaired row alone; the two-factor yields its rows whole
+        if path_rows is not None:
+            monkeypatch.setattr(mc_oracle, "_PATH_CHUNK", path_rows * 32)
+        draws, builds, chunks, discounts, blocks = {}, [], [], [], []
 
         class Recording:
             def __init__(self, gen, index):
@@ -593,6 +635,19 @@ class TestMonitorContract:
 
         def copied(paths):
             return tuple(np.array(a, copy=True) for a in paths)
+
+        def joined(parts):
+            """One block's chunks (x, log_disc, start), joined in row order."""
+            xs, discs, starts = zip(*parts)
+            assert len({float(start) for start in starts}) == 1  # the start draws no normals
+            if discs[0].ndim == 0:  # a discount common to all paths
+                assert len({float(disc) for disc in discs}) == 1
+                return np.concatenate(xs), discs[0], starts[0]
+            return np.concatenate(xs), np.concatenate(discs), starts[0]
+
+        def built(build, n, index, m, sign):  # a block built again from its recorded normals
+            return joined([copied(c) for c in build(Replay(draws[index], sign),
+                                                    mc_oracle._Buffers(m, n), m)])
         block_rng = mc_oracle._block_rng
         monkeypatch.setattr(mc_oracle, "_block_rng",
                             lambda seed, index: Recording(block_rng(seed, index), index))
@@ -600,15 +655,20 @@ class TestMonitorContract:
 
         def recording_simulate(cfg, n, build, *args):
             def recording_build(rng, buf, m):
-                out = build(rng, buf, m)
-                built.append((copied(out), out))  # the drawn rows, and the arrays
-                return out
+                for out in build(rng, buf, m):
+                    drawn = copied(out)
+                    yield out
+                    if isinstance(rng, Recording):  # the chunk, as built and after its mirroring
+                        chunks.append((drawn, copied(out)))
+                if isinstance(rng, Recording):  # every path's log discount, before its exp
+                    discounts.append(buf.column("log_disc", m).copy())
             builds.append((build, n))
             return simulate(cfg, n, recording_build, *args)
 
         def recording_stats(x_final, *args):  # the block's rows, after the mirroring
-            drawn, out = built[-1]
-            blocks.append((drawn, copied(out), x_final.copy()))
+            drawn, mirrored = (joined([c[k] for c in chunks]) for k in (0, 1))
+            blocks.append((drawn, mirrored, x_final.copy(), len(chunks)))
+            chunks.clear()
             return payoff_stats(x_final, *args)
         monkeypatch.setattr(mc_oracle, "_simulate", recording_simulate)
         monkeypatch.setattr(mc_oracle, "_payoff_stats", recording_stats)
@@ -616,26 +676,32 @@ class TestMonitorContract:
         # a full block and an odd partial one
         cfg = MCConfig(n_paths=mc_oracle._BLOCK + 77, n_steps=32, seed=3)
         ESTIMATORS[estimator](cfg)
+        # the two-factor draws its Z1 rows whole, then its Z2 rows in one rate chunk
+        per = path_rows if path_rows and sets == 1 else mc_oracle._BLOCK // 2
+
+        def split(h):  # the shapes of h rows drawn in chunks of per
+            return [(min(per, h - i), 32) for i in range(0, h, per)] * sets
         shapes = {index: [z.shape for z in normals] for index, normals in draws.items()}
-        assert shapes == {0: [(mc_oracle._BLOCK // 2, 32)] * sets, 1: [(39, 32)] * sets}
+        assert shapes == {0: split(mc_oracle._BLOCK // 2), 1: split(39)}
         (build, n), = builds
-        assert [x_final.size for *_, x_final in blocks] == [mc_oracle._BLOCK, 77]
-        for index, (drawn, (x, log_disc, start), x_final) in enumerate(blocks):
+        assert [x_final.size for *_, x_final, _ in blocks] == [mc_oracle._BLOCK, 77]
+        for index, (drawn, (x, log_disc, start), x_final, n_chunks) in enumerate(blocks):
             m = x_final.size
             h = (m + 1) // 2
-            own = build(Replay(draws[index], 1.0), mc_oracle._Buffers(m, n), m)
-            negated = build(Replay(draws[index], -1.0), mc_oracle._Buffers(m, n), m)
+            assert n_chunks == len(split(h)) // sets
+            own, negated = built(build, n, index, m, 1.0), built(build, n, index, m, -1.0)
             assert x.shape[0] == h and np.array_equal(drawn[0], own[0])
             assert start == drawn[2] == own[2] == negated[2]  # the start draws no normals
             # rows 0..m-h-1 now hold the mirrored paths, each recorded as row h + i
             np.testing.assert_allclose(x[:m - h], negated[0][:m - h], rtol=1e-12, atol=0.0)
             assert np.array_equal(x_final, np.concatenate([drawn[0][:, -1], x[:m - h, -1]]))
+            disc = discounts[index]  # row h + i's recorded as its own
             if log_disc.ndim == 0:  # a discount common to all paths
                 assert log_disc == drawn[1] == own[1] == negated[1]
+                assert np.all(disc == log_disc)
             else:
-                assert np.array_equal(log_disc[:h], own[1][:h])
-                np.testing.assert_allclose(log_disc[h:], negated[1][:m - h], rtol=1e-12,
-                                           atol=0.0)
+                assert np.array_equal(drawn[1], own[1]) and np.array_equal(disc[:h], own[1])
+                np.testing.assert_allclose(disc[h:], negated[1][:m - h], rtol=1e-12, atol=0.0)
             if m % 2:  # row h - 1 is built from its own normals and has no partner
                 assert m - h == h - 1
                 assert np.array_equal(x[h - 1], own[0][h - 1])
@@ -708,6 +774,31 @@ class TestStdErrorScaling:
             ses.append(est.std_error)
         slope = np.polyfit(np.log10([1e4, 1e5, 1e6]), np.log10(ses), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.05)
+
+
+class TestAtMaturity:
+    """With no time left, no step is simulated and each estimate is exact."""
+
+    @pytest.mark.parametrize("estimator", [price_barrier_mc, price_barrier_mc_two_factor])
+    @pytest.mark.parametrize("spot, spec", [(110.0, SINGLE), (95.0, SINGLE), (110.0, CORRIDOR),
+                                            (140.0, SINGLE)],
+                             ids=["single-in-the-money", "single-out-of-the-money", "corridor",
+                                  "knocked-out"])
+    def test_an_option_pays_its_payoff(self, estimator, spot, spec):
+        state = MarketState(spot=spot, rate=0.05, time=spec.maturity)
+        est = estimator(state, spec, REF, MCConfig(100, 8, 1))
+        assert (est.std_error, est.n_paths, est.n_steps) == (0.0, 100, 0)
+        assert est.mean == pytest.approx(price(state, spec, REF).price, rel=1e-15, abs=0.0)
+
+    def test_the_bond_is_one(self):
+        est = bond_mc(0.05, 0.0, REF, MCConfig(100, 8, 1))
+        assert (est.mean, est.std_error, est.n_steps) == (bond_price(0.05, 0.0, 0.0, REF), 0.0, 0)
+        assert est.mean == 1.0
+
+    def test_a_bond_past_its_maturity_fails_by_name(self):
+        # ceil(-0.1 * 8) is also 0 steps: past maturity is an error, not a bond of 1
+        with pytest.raises(ValueError, match="tau=-0.1"):
+            bond_mc(0.05, -0.1, REF, MCConfig(100, 8, 1))
 
 
 class TestTwoFactorMC:
