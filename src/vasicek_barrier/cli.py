@@ -11,8 +11,8 @@ reject is a configuration error that names its field.  Outputs (CSV or SVG)
 are byte-identical for identical resolved configurations.
 
 `price` imports only the standard library and the production core; numpy
-and the oracle modules load inside the functions that use them (`curve`,
-`verify`, `price --verify`).
+and the oracle modules load inside the functions that use them (`curve`
+through `pricer.price_curve`, `verify`, `price --verify`).
 
 `verify` computes every production value it compares first, then runs one
 table of named oracle checks, one output line per row; its loop's one
@@ -37,8 +37,6 @@ from typing import TYPE_CHECKING
 from . import model, pricer
 
 if TYPE_CHECKING:  # annotations only
-    import numpy as np
-
     from . import mc_oracle
 
 DEFAULTS = {
@@ -99,7 +97,7 @@ class JobConfig:
     single: pricer.OptionSpec
     sweep_name: str | None
     sweep_params: tuple  # one VasicekParams per sweep value
-    grid: tuple
+    grid: tuple  # the curve's spots
     paths: int
     steps: int
     seed: int
@@ -216,13 +214,13 @@ def _parse_grid(text: str) -> tuple:
         raise ConfigError(f"grid: need MIN < MAX, got {text!r}")
     if not math.isfinite(hi - lo):
         raise ConfigError(f"grid: the span MAX - MIN of {text!r} is past the float range")
-    # the spots as np.linspace makes them: MIN + i * step, then MAX
+    # the curve's spots, the floats np.linspace makes: MIN + i * step, then MAX
     step = (hi - lo) / (n - 1)
     spots = [lo + i * step for i in range(n - 1)] + [hi]
     if not all(s < t for s, t in zip(spots, spots[1:])):
         raise ConfigError(f"grid: the {n} points of {text!r} are not strictly increasing: "
                           f"the span is too narrow for {n} distinct floats")
-    return lo, hi, n
+    return tuple(spots)
 
 
 def _resolve(args: argparse.Namespace) -> JobConfig:
@@ -278,14 +276,12 @@ def run_price(cfg: JobConfig) -> int:
     return 2 if result.knocked_out else 0
 
 
-def _curve_columns(cfg: JobConfig) -> tuple[list, np.ndarray, list, list]:
+def _curve_columns(cfg: JobConfig) -> tuple[list, tuple, list, list]:
     """Labels, spots, one price column per sweep value, and the failed rows.
 
     Each failed row is a (label, spot, error message) triple.
     """
-    import numpy as np
-
-    spots = np.linspace(cfg.grid[0], cfg.grid[1], cfg.grid[2])
+    spots = cfg.grid
     if cfg.sweep_name is None:
         labels = ["price"]
         variants = [cfg.params]
@@ -306,14 +302,11 @@ def _render_csv(labels, spots, columns) -> str:
 
 
 def _render_svg(labels, spots, columns) -> str:
-    import numpy as np
-
     width, height = 720.0, 480.0
     ml, mr, mt, mb = 70.0, 24.0, 24.0, 56.0
-    x0, x1 = float(spots[0]), float(spots[-1])
-    finite = np.concatenate([c[np.isfinite(c)] for c in columns])
-    y1 = float(finite.max()) if finite.size and finite.max() > 0 else 1.0
-    y1 *= 1.05
+    x0, x1 = spots[0], spots[-1]
+    top = max((v for c in columns for v in c if math.isfinite(v)), default=0.0)
+    y1 = 1.05 * (top if top > 0 else 1.0)
 
     def sx(v):
         return ml + (v - x0) / (x1 - x0) * (width - ml - mr)
@@ -344,7 +337,7 @@ def _render_svg(labels, spots, columns) -> str:
     for k, (label, col) in enumerate(zip(labels, columns)):
         color = _PALETTE[k % len(_PALETTE)]
         pts = " ".join(f"{sx(s):.2f},{sy(v):.2f}"
-                       for s, v in zip(spots, col) if np.isfinite(v))
+                       for s, v in zip(spots, col) if math.isfinite(v))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = mt + 16 + 18 * k

@@ -14,8 +14,8 @@ Two independent estimators exist for every option price:
 Both, and the bond estimator `bond_mc`, run on one block loop, `_simulate`.
 Each estimator supplies only its path builder: the forward, the (ln S, r)
 pair with its path discount, or the bond's log discount.  The loop owns the rest:
-the per-block streams, the buffers, the knock monitor (`_Walls.knock`), the
-payoff (`_payoff_stats`) and the reduction.
+the per-block streams, the buffers, the knock monitor (the ``knock`` that
+`_option_mc` hands it), the payoff (`_payoff_stats`) and the reduction.
 
 One bridge monitor serves both wall sets (`_bridge_knockout`); the
 up-and-out is the corridor with its lower wall at -inf.  It knocks a path
@@ -277,8 +277,7 @@ def _workers(n_blocks: int) -> int:
     return min(cores, n_blocks)
 
 
-def _simulate(cfg: MCConfig, n: int, build, strike: float,
-              walls: _Walls | None = None) -> MCEstimate:
+def _simulate(cfg: MCConfig, n: int, build, strike: float, knock=None) -> MCEstimate:
     """Run every block through ``build``, the knock monitor and the payoff.
 
     ``build(rng, buf, m)`` builds the first h = ceil(m/2) paths of a block
@@ -288,11 +287,12 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
     their start, whose last column is the log of the payoff variable at
     maturity, the log discount factor, common to all paths or one per row
     of the chunk (k,), and the start that every path shares.  Paths pay
-    (e^{x_T} - strike)^+ * e^log_disc, times the bridge survival weight that
-    ``walls`` gives them, and 0 where ``walls`` knocks them out on the grid;
-    with no walls (the bond) nothing is monitored.  Each chunk is recorded
-    and mirrored before the next is built, so a builder may reuse one
-    chunk's memory for the next.
+    (e^{x_T} - strike)^+ * e^log_disc, times their bridge survival weight,
+    and 0 where they are knocked out on the grid: ``knock(x, start, w)``
+    returns the knock mask of the paths from start through x and writes
+    their weights to w.  With no ``knock`` (the bond) nothing is
+    monitored.  Each chunk is recorded and mirrored before the next is
+    built, so a builder may reuse one chunk's memory for the next.
 
     Antithetic pairs by reflection: every builder is affine in its normals,
     so the path driven by the negated normals of path i is 2 x0 - x_i, where
@@ -337,14 +337,14 @@ def _simulate(cfg: MCConfig, n: int, build, strike: float,
         with np.errstate(over="ignore", invalid="ignore"):
             h = _drawn(m)
             x_final, log_disc = buf.column("x_final", m), buf.column("log_disc", m)
-            knocked = None if walls is None else np.empty(m, bool)
-            weight = None if walls is None else buf.column("weight", m)
+            knocked = None if knock is None else np.empty(m, bool)
+            weight = None if knock is None else buf.column("weight", m)
 
             def record(rows, paths, disc, start):  # final points, discounts, knock mask and weights
                 x_final[rows] = paths[:, -1]
                 log_disc[rows] = disc
-                if walls is not None:
-                    knocked[rows] = walls.knock(paths, start, weight[rows])
+                if knock is not None:
+                    knocked[rows] = knock(paths, start, weight[rows])
             first = 0  # the chunk's first row
             for x, disc, start in build(_block_rng(cfg.seed, index), buf, m):
                 k = x.shape[0]
@@ -463,8 +463,12 @@ def bond_mc(r0: float, tau: float, p: VasicekParams, cfg: MCConfig) -> MCEstimat
     one-column path from 0, with no barrier.  A log discount so spread that
     no run can sample the bond's mean raises a ValueError naming a
     (`_require_samplable`).  At maturity no step is left and the estimate
-    is exactly 1; a negative tau raises a ValueError.
+    is exactly 1; a negative or non-finite tau, or a non-finite r0, raises
+    a ValueError naming it.
     """
+    for name, value in (("r0", r0), ("tau", tau)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if tau < 0.0:
         raise ValueError(f"maturity tau={tau} is below 0")
     n = _n_steps(cfg, tau)
@@ -601,26 +605,6 @@ def _double_bridge_knockout(x, start, lower, upper, inv_v, w):
     return _bridge_knockout(x, start, lower, upper, inv_v, w)
 
 
-@dataclass(frozen=True)
-class _Walls:
-    """Knock-out walls on the log forward, and the bridge monitor that applies them.
-
-    ``lower`` is -inf for the up-and-out; ``inv_v`` holds the reciprocal
-    per-step forward variances of the grid.
-    """
-
-    lower: float
-    upper: float
-    inv_v: np.ndarray
-
-    def knock(self, x, start, w):
-        """The mask of the paths from ``start`` through x knocked out on the
-        grid; w gets each path's bridge survival weight."""
-        if self.lower == -math.inf:
-            return _single_bridge_knockout(x, start, self.upper, self.inv_v, w)
-        return _double_bridge_knockout(x, start, self.lower, self.upper, self.inv_v, w)
-
-
 def _payoff_stats(x_final, strike, knocked, scale):
     """Moments of one block's payoffs (e^x_final - strike)^+ * scale, 0 where knocked.
 
@@ -650,7 +634,7 @@ def _payoff_stats(x_final, strike, knocked, scale):
 
 def _option_mc(state: MarketState, spec: OptionSpec, p: VasicekParams, cfg: MCConfig,
                paths) -> MCEstimate:
-    """The alive check, grid and walls that both option estimators share.
+    """The alive check, grid and knock monitor that both option estimators share.
 
     ``paths(x0, grid, v)`` returns the estimator's block builder for
     `_simulate`, given the start x0 of the log forward, the time grid (a
@@ -676,8 +660,14 @@ def _option_mc(state: MarketState, spec: OptionSpec, p: VasicekParams, cfg: MCCo
     if not np.all(v >= 0.0):
         raise ValueError(f"a={p.a!r}: integrated_variance gives a step variance of "
                          f"{v.min():.3g} on the {n}-step grid, below 0")
-    walls = _Walls(lower, upper, 1.0 / v)
-    return _simulate(cfg, n, paths(x0, grid, v), spec.strike, walls)
+    with np.errstate(divide="ignore"):  # a step of variance 0 never reaches a wall
+        inv_v = 1.0 / v
+
+    def knock(x, start, w):  # each call looks the entry up by name, patched or not
+        if lower == -math.inf:
+            return _single_bridge_knockout(x, start, upper, inv_v, w)
+        return _double_bridge_knockout(x, start, lower, upper, inv_v, w)
+    return _simulate(cfg, n, paths(x0, grid, v), spec.strike, knock)
 
 
 def price_barrier_mc(state: MarketState, spec: OptionSpec, p: VasicekParams,

@@ -358,7 +358,17 @@ class TestCurveCommand:
         assert code == 1 and out == ""
         assert err == "error: grid: 100000000000 points, past the limit of 100000\n"
         assert peak < 100_000  # a grid just past the limit takes 800 kB
-        assert cli._parse_grid("85:128:100000") == (85.0, 128.0, cli._MAX_GRID)
+        spots = cli._parse_grid("85:128:100000")
+        assert (len(spots), spots[0], spots[-1]) == (cli._MAX_GRID, 85.0, 128.0)
+
+    def test_the_grid_is_the_spots_of_linspace(self):
+        # the curve prints these floats, so out/*.csv stays as np.linspace made it
+        rng = np.random.default_rng(28)
+        grids = [(85.0, 128.0, 25)] + [
+            (lo, lo + 10.0 ** float(rng.uniform(-3.0, 3.0)), int(rng.integers(2, 2001)))
+            for lo in rng.uniform(-200.0, 200.0, 300).tolist()]
+        for lo, hi, n in grids:
+            assert cli._parse_grid(f"{lo!r}:{hi!r}:{n}") == tuple(np.linspace(lo, hi, n).tolist())
 
     def test_bad_sweep(self, capsys):
         code, _, err = run(capsys, "curve", "--sweep", "sigma1=0.1,0.2")

@@ -800,6 +800,14 @@ class TestAtMaturity:
         with pytest.raises(ValueError, match="tau=-0.1"):
             bond_mc(0.05, -0.1, REF, MCConfig(100, 8, 1))
 
+    @pytest.mark.parametrize("r0, tau, name", [(0.05, math.nan, "tau"), (0.05, math.inf, "tau"),
+                                               (math.nan, 1.0, "r0"), (math.inf, 1.0, "r0")])
+    def test_a_non_finite_bond_input_fails_by_name(self, r0, tau, name):
+        # a nan or inf tau once failed in the step count, and a nan or inf r0
+        # only after the whole run, blaming the simulated paths
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            bond_mc(r0, tau, REF, MCConfig(100, 8, 1))
+
 
 class TestTwoFactorMC:
     def test_decoupled_deterministic_rate_reduction(self):
@@ -818,6 +826,16 @@ class TestTwoFactorMC:
         est = price_barrier_mc_two_factor(STATE, SINGLE, p, MCConfig(1000, 512, 1))
         ana = price_single_barrier(STATE, SINGLE, p).price
         assert abs(est.mean - ana) <= 1e-6 * ana
+
+    @pytest.mark.parametrize("spec", [SINGLE, CORRIDOR], ids=["single", "corridor"])
+    def test_zero_volatility_prices_without_a_warning(self, spec):
+        # every step variance is 0, and its reciprocal once warned of a
+        # division by zero, an error under this suite's warning filter
+        p = dataclasses.replace(REF, sigma1=0.0, sigma2=0.0)
+        cfg = MCConfig(1000, 8, 1)
+        est = price_barrier_mc(STATE, spec, p, cfg)
+        assert (est.mean, est.std_error) == (price(STATE, spec, p).price, 0.0)
+        assert math.isfinite(price_barrier_mc_two_factor(STATE, spec, p, cfg).mean)
 
     def test_agrees_with_forward_measure_oracle(self):
         cfg = MCConfig(200_000, 512, 37)
